@@ -83,31 +83,6 @@ fn bench_fabric_recompute(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tick_dispatch(c: &mut Criterion) {
-    // The ISSUE 3 headline: a tick-dominated workload (every server fires at
-    // every timestamp) dispatched by the monolithic-heap serial executor vs
-    // the sharded-lane batch executor. Fixed total event count, so larger
-    // server counts mean larger same-timestamp batches.
-    use bench::tickworld::{run_serial_heap, run_sharded_parallel};
-    const TOTAL_EVENTS: u64 = 100_000;
-
-    let mut g = c.benchmark_group("tick_dispatch");
-    for servers in [16usize, 64, 256] {
-        let ticks = (TOTAL_EVENTS / servers as u64) as u32;
-        g.bench_with_input(
-            BenchmarkId::new("serial_heap", servers),
-            &servers,
-            |b, &s| b.iter(|| black_box(run_serial_heap(s, ticks))),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("sharded_parallel", servers),
-            &servers,
-            |b, &s| b.iter(|| black_box(run_sharded_parallel(s, ticks, 0))),
-        );
-    }
-    g.finish();
-}
-
 fn bench_fabric_churn(c: &mut Criterion) {
     // The incremental-fill headline: a churn-heavy flow schedule (bursts of
     // same-timestamp cancel+start over disjoint components, a completion
@@ -172,13 +147,10 @@ fn bench_topology_churn(c: &mut Criterion) {
 }
 
 fn bench_driver_exec_mode(c: &mut Criterion) {
-    // End-to-end: contended DOSAS runs under both run loops (golden tests
-    // prove the metrics bit-identical; this measures the dispatch cost).
-    // Three workload points: the toy scale where serial wins on batching
-    // overhead, the large regime the sharded executor targets, and the
-    // scale-up regime (4096 ranks × 256 storage nodes) where the lookahead
-    // window amortises refills across hundreds of lanes. Each point reports
-    // events/sec via the throughput rate.
+    // End-to-end: contended DOSAS runs through the serial event loop at
+    // three workload points — a toy scale, the large regime (512 ranks ×
+    // 64 storage nodes) and the scale-up regime (4096 ranks × 256 storage
+    // nodes). Each point reports events/sec via the throughput rate.
     use criterion::Throughput;
     use dosas::{Driver, DriverConfig, ExecMode, Scheme, Workload};
     use kernels::KernelParams;
@@ -211,15 +183,6 @@ fn bench_driver_exec_mode(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("serial", label), &workload, |b, w| {
             b.iter(|| black_box(Driver::run_with(cfg.clone(), w, ExecMode::Serial)))
         });
-        g.bench_with_input(BenchmarkId::new("parallel", label), &workload, |b, w| {
-            b.iter(|| {
-                black_box(Driver::run_with(
-                    cfg.clone(),
-                    w,
-                    ExecMode::Parallel { threads: 0 },
-                ))
-            })
-        });
     }
     g.finish();
 }
@@ -245,7 +208,7 @@ criterion_group! {
     name = benches;
     config = quick();
     targets = bench_event_dispatch, bench_share_resource_churn, bench_fabric_recompute,
-        bench_tick_dispatch, bench_driver_exec_mode
+        bench_driver_exec_mode
 }
 criterion_group! {
     name = churn;

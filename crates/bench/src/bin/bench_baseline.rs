@@ -1,23 +1,17 @@
 //! Emits `BENCH_simulator.json` — the committed machine-readable baseline
-//! for the simulation engine (ISSUE 3 + ISSUE 5 acceptance numbers).
+//! for the simulation engine.
 //!
 //! Sections, all wall-clock `Instant` timings (best of three):
 //!
-//! 1. `tick_dispatch` — the synthetic tick-dominated world of
-//!    [`bench::tickworld`] at 16 / 64 / 256 servers with a fixed event
-//!    total, monolithic-heap serial executor vs the sharded
-//!    `ParallelSimulation`.
-//! 2. `driver` — full contended DOSAS runs under `ExecMode::Serial` vs
-//!    `ExecMode::Parallel`, checked bit-identical before timing, at three
-//!    scales: the paper testbed (64 ranks × 1 storage node), the large
-//!    regime the executor targets (512 ranks × 64 storage nodes), and the
-//!    scale-up regime where the lookahead window amortises (4096 ranks ×
-//!    256 storage nodes). Each point records events/sec in both modes.
-//! 3. `fabric_churn` — the churn-heavy flow schedule of
+//! 1. `driver` — full contended DOSAS runs through the serial event loop
+//!    at three scales: the paper testbed (64 ranks × 1 storage node), the
+//!    large regime (512 ranks × 64 storage nodes), and the scale-up regime
+//!    (4096 ranks × 256 storage nodes). Each point records events/sec.
+//! 2. `fabric_churn` — the churn-heavy flow schedule of
 //!    [`bench::fabric_churn`] under the incremental water-filling fill vs
 //!    the pre-incremental full-recompute baseline (`FillMode::FullRescan`),
 //!    at 64 / 1024 / 8192 flows.
-//! 4. `topology` — the fat-tree fill-scaling schedule of
+//! 3. `topology` — the fat-tree fill-scaling schedule of
 //!    [`bench::topology_churn`] at the acceptance points (k = 16 / 1 024
 //!    hosts and k = 34 / 9 826 hosts, the latter with 100k+ flows in
 //!    flight): seconds of fill work per churn event under the incremental
@@ -25,31 +19,22 @@
 //!    full rescan is measured over a single churn event — every mutation
 //!    re-fills all ~108k flows, so one event already costs two global
 //!    fills and more would only repeat the figure.
-//! 5. `incremental_fabric` — stale-`NetTick` suppression and fill-reuse
+//! 4. `incremental_fabric` — stale-`NetTick` suppression and fill-reuse
 //!    counters from an observability-enabled standard DOSAS run: the ticks
 //!    the incremental fabric proved redundant and never dispatched.
-//! 6. `scenarios` — the multi-tenant scenario suite of
+//! 5. `scenarios` — the multi-tenant scenario suite of
 //!    [`bench::scenarios`] (storm, straggler, join/leave, heterogeneous,
 //!    SLO, soak, open-loop burst, fat-tree): events/sec per scenario plus
 //!    the fairness outcome, so the cost of the failure-rich multi-tenant
 //!    regime is tracked.
-//! 7. `policies` — the policy arena of [`bench::policy_matrix`]: every
+//! 6. `policies` — the policy arena of [`bench::policy_matrix`]: every
 //!    contention-control policy (`ce`, `restripe`, `token-bucket`, `pi`)
 //!    run against every scenario, recording makespan, bandwidth, Jain
 //!    fairness, SLO verdicts, demotions/interrupts and rate-cap activity
 //!    per cell.
 //!
-//! Plus a `profile` section: the simkit executor's wall-clock dispatch
-//! breakdown (per-subsystem handler time under the serial executor, batch
-//! statistics and lane-spill counts under the parallel one) for the paper
-//! driver run, via `Driver::run_profiled`.
-//!
-//! And a `lookahead` section (DESIGN.md §13): per driver point, the
-//! lookahead-window statistics of the parallel run — refill count, events
-//! harvested through windows, mean window size, undercut count, the
-//! adaptive horizon's final value, lane spills (regression-pinned at 0 by
-//! `tests/parallel_exec.rs`), batch counts and the staging pool-bypass
-//! split.
+//! Plus a `profile` section: the per-subsystem wall-clock dispatch
+//! breakdown of the paper driver run, via `Driver::run_profiled`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin bench_baseline [out.json]
@@ -58,7 +43,7 @@
 //! Run via `scripts/bench.sh`, which regenerates the committed file at the
 //! repository root.
 
-use bench::{executor_scaling, fabric_churn, topology_churn};
+use bench::{fabric_churn, topology_churn};
 use cluster::FillMode;
 use dosas::{Driver, DriverConfig, ExecMode, RunMetrics, Scheme, Workload};
 use kernels::KernelParams;
@@ -67,7 +52,6 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 const MIB: u64 = 1024 * 1024;
-const TICK_EVENTS: u64 = 200_000;
 
 fn paper_cfg() -> DriverConfig {
     let mut cfg = DriverConfig::paper(Scheme::dosas_default());
@@ -85,65 +69,46 @@ fn paper_workload() -> Workload {
     )
 }
 
-fn time_driver(cfg: &DriverConfig, workload: &Workload, mode: ExecMode) -> f64 {
+/// Best-of-three wall-clock seconds of one driver run.
+fn time_driver(cfg: &DriverConfig, workload: &Workload) -> f64 {
     (0..3)
         .map(|_| {
             let t0 = Instant::now();
-            std::hint::black_box(Driver::run_with(cfg.clone(), workload, mode));
+            std::hint::black_box(Driver::run(cfg.clone(), workload));
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Time one driver point in both modes, asserting bit-identity first.
+/// Time one driver point.
 fn driver_point(
     label: &str,
     desc: &str,
     cfg: DriverConfig,
     workload: Workload,
 ) -> serde_json::Value {
-    let serial = Driver::run_with(cfg.clone(), &workload, ExecMode::Serial);
-    let parallel = Driver::run_with(cfg.clone(), &workload, ExecMode::Parallel { threads: 0 });
-    assert_eq!(
-        serde_json::to_string(&serial).unwrap(),
-        serde_json::to_string(&parallel).unwrap(),
-        "serial and parallel driver runs must be bit-identical ({label})"
-    );
-    let serial_secs = time_driver(&cfg, &workload, ExecMode::Serial);
-    let parallel_secs = time_driver(&cfg, &workload, ExecMode::Parallel { threads: 0 });
+    let m = Driver::run(cfg.clone(), &workload);
+    let secs = time_driver(&cfg, &workload);
     serde_json::json!({
         "label": label,
         "workload": desc,
-        "events": serial.events,
-        "events_cancelled": serial.events_cancelled,
-        "serial_secs": serial_secs,
-        "parallel_secs": parallel_secs,
-        "serial_events_per_sec": serial.events as f64 / serial_secs,
-        "parallel_events_per_sec": serial.events as f64 / parallel_secs,
-        "speedup": serial_secs / parallel_secs,
+        "events": m.events,
+        "events_cancelled": m.events_cancelled,
+        "secs": secs,
+        "events_per_sec": m.events as f64 / secs,
     })
 }
 
 /// Time the multi-tenant scenario suite: every scenario from
-/// [`bench::scenarios`] run serially (bit-identity against the parallel
-/// executor is already pinned by `tests/tenant_scenarios.rs` golden
-/// snapshots), recording events/sec plus the per-tenant fairness outcome.
+/// [`bench::scenarios`] (each pinned by a golden snapshot in
+/// `tests/tenant_scenarios.rs`), recording events/sec plus the per-tenant
+/// fairness outcome.
 fn scenario_section() -> serde_json::Value {
     let points: Vec<serde_json::Value> = bench::scenarios::all()
         .iter()
         .map(|s| {
-            let m = Driver::run_with(s.cfg.clone(), &s.workload, ExecMode::Serial);
-            let secs = (0..3)
-                .map(|_| {
-                    let t0 = Instant::now();
-                    std::hint::black_box(Driver::run_with(
-                        s.cfg.clone(),
-                        &s.workload,
-                        ExecMode::Serial,
-                    ));
-                    t0.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min);
+            let m = Driver::run(s.cfg.clone(), &s.workload);
+            let secs = time_driver(&s.cfg, &s.workload);
             let t = m.tenants.as_ref().expect("scenarios are tenanted");
             serde_json::json!({
                 "name": s.name,
@@ -159,32 +124,6 @@ fn scenario_section() -> serde_json::Value {
         })
         .collect();
     serde_json::json!({ "points": points })
-}
-
-/// Lookahead-window statistics for one driver point: one profiled parallel
-/// run, reporting how the window machinery behaved (DESIGN.md §13).
-fn lookahead_point(label: &str, cfg: DriverConfig, workload: &Workload) -> serde_json::Value {
-    let (_, p) = Driver::run_profiled(cfg, workload, ExecMode::Parallel { threads: 0 });
-    let la = p.lookahead;
-    serde_json::json!({
-        "label": label,
-        "windows": la.windows,
-        "window_events": la.window_events,
-        "mean_window_events": if la.windows == 0 {
-            0.0
-        } else {
-            la.window_events as f64 / la.windows as f64
-        },
-        "undercuts": la.undercuts,
-        "drains": la.drains,
-        "drained_events": la.drained_events,
-        "final_horizon_ns": la.horizon_ns,
-        "queue_spilled": p.queue_spilled,
-        "batches": p.batches,
-        "batch_events": p.batch_events,
-        "pool_staged": p.pool_staged,
-        "pool_bypassed": p.pool_bypassed,
-    })
 }
 
 /// Stale-tick and fill-reuse counters from an obs-enabled standard run.
@@ -214,10 +153,7 @@ fn main() {
             PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_simulator.json")
         });
 
-    eprintln!("timing tick_dispatch sweep ({TICK_EVENTS} events/point)...");
-    let tick = executor_scaling(TICK_EVENTS, 0);
-
-    eprintln!("timing driver serial vs parallel (paper + large + scale-up points)...");
+    eprintln!("timing driver runs (paper + large + scale-up points)...");
     let driver_points = vec![
         driver_point(
             "64r1s",
@@ -236,21 +172,6 @@ fn main() {
             "4096 ranks x 8 MiB gaussian2d, DOSAS scheme, 256 compute + 256 storage nodes",
             bench::xl_driver_cfg(),
             bench::xl_driver_workload(),
-        ),
-    ];
-
-    eprintln!("collecting lookahead-window statistics per driver point...");
-    let lookahead_points = vec![
-        lookahead_point("64r1s", paper_cfg(), &paper_workload()),
-        lookahead_point(
-            "512r64s",
-            bench::large_driver_cfg(),
-            &bench::large_driver_workload(),
-        ),
-        lookahead_point(
-            "4096r256s",
-            bench::xl_driver_cfg(),
-            &bench::xl_driver_workload(),
         ),
     ];
 
@@ -345,22 +266,12 @@ fn main() {
     eprintln!("counting stale-NetTick suppression on the standard workload...");
     let mut obs_cfg = paper_cfg();
     obs_cfg.obs = obs::ObsConfig::enabled();
-    let obs_run = Driver::run_with(obs_cfg, &paper_workload(), ExecMode::Serial);
+    let obs_run = Driver::run(obs_cfg, &paper_workload());
     let incremental_fabric = incremental_fabric_section(&obs_run);
 
     eprintln!("profiling dispatch breakdown...");
-    let (_, serial_profile) =
-        Driver::run_profiled(paper_cfg(), &paper_workload(), ExecMode::Serial);
-    let (_, parallel_profile) = Driver::run_profiled(
-        paper_cfg(),
-        &paper_workload(),
-        ExecMode::Parallel { threads: 0 },
-    );
+    let (_, profile) = Driver::run_profiled(paper_cfg(), &paper_workload(), ExecMode::Serial);
 
-    let tick_section = serde_json::json!({
-        "total_events_per_point": TICK_EVENTS,
-        "points": tick,
-    });
     let driver_section = serde_json::json!({ "points": driver_points });
     let churn_section = serde_json::json!({
         "schedule": format!(
@@ -371,17 +282,6 @@ fn main() {
         ),
         "points": churn_points,
     });
-    // Wall-clock dispatch breakdown (simkit executor profiling hooks):
-    // per-subsystem event counts and handler time under the serial
-    // executor, batch statistics and lane-FIFO spill count under the
-    // parallel one. Observational only — collecting it does not change the
-    // event stream, which the serial/parallel bit-identity assert above
-    // already proved for these exact runs.
-    let profile_section = serde_json::json!({
-        "serial": serial_profile,
-        "parallel": parallel_profile,
-    });
-    let lookahead_section = serde_json::json!({ "points": lookahead_points });
     let topology_section = serde_json::json!({
         "schedule": format!(
             "{} ticks x {} same-tick intra-pod replace ops, one pod per tick, \
@@ -393,52 +293,28 @@ fn main() {
         "points": topology_points,
     });
     let report = serde_json::json!({
-        "schema": "dosas-bench-baseline/v7",
+        "schema": "dosas-bench-baseline/v8",
         "host_threads": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        "tick_dispatch": tick_section,
         "driver": driver_section,
-        "lookahead": lookahead_section,
         "fabric_churn": churn_section,
         "topology": topology_section,
         "incremental_fabric": incremental_fabric,
         "scenarios": scenario_points,
         "policies": policy_section,
-        "profile": profile_section,
+        // Per-subsystem event counts and handler wall time (observational
+        // only: collecting it does not change the event stream).
+        "profile": profile,
     });
     let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
     json.push('\n');
     std::fs::write(&out, json).expect("write baseline");
     println!("wrote {}", out.display());
-    for p in report["tick_dispatch"]["points"].as_array().unwrap() {
-        println!(
-            "  {:>4} servers: heap {:.4}s  sharded {:.4}s  ({:.2}x)",
-            p["servers"],
-            p["heap_secs"].as_f64().unwrap_or(f64::NAN),
-            p["sharded_secs"].as_f64().unwrap_or(f64::NAN),
-            p["speedup"].as_f64().unwrap_or(f64::NAN),
-        );
-    }
     for p in report["driver"]["points"].as_array().unwrap() {
         println!(
-            "  driver {}: serial {:.4}s  parallel {:.4}s  ({:.2}x, {:.0} ev/s serial)",
+            "  driver {}: {:.4}s  ({:.0} ev/s)",
             p["label"].as_str().unwrap_or("?"),
-            p["serial_secs"].as_f64().unwrap_or(f64::NAN),
-            p["parallel_secs"].as_f64().unwrap_or(f64::NAN),
-            p["speedup"].as_f64().unwrap_or(f64::NAN),
-            p["serial_events_per_sec"].as_f64().unwrap_or(f64::NAN),
-        );
-    }
-    for p in report["lookahead"]["points"].as_array().unwrap() {
-        println!(
-            "  lookahead {}: {} windows, {:.1} ev/window, {} drains, {} undercuts, {} spills, pool {}/{} staged/bypassed",
-            p["label"].as_str().unwrap_or("?"),
-            p["windows"],
-            p["mean_window_events"].as_f64().unwrap_or(f64::NAN),
-            p["drains"],
-            p["undercuts"],
-            p["queue_spilled"],
-            p["pool_staged"],
-            p["pool_bypassed"],
+            p["secs"].as_f64().unwrap_or(f64::NAN),
+            p["events_per_sec"].as_f64().unwrap_or(f64::NAN),
         );
     }
     for p in report["fabric_churn"]["points"].as_array().unwrap() {

@@ -1,5 +1,7 @@
 //! Table III on this host: measure every built-in kernel's per-core rate
-//! with the real implementations, single-core and rayon-parallel.
+//! with the real implementations, plus the chunked map/merge runner rate
+//! (`par` column) for the mergeable kernels. The vendored rayon stand-in
+//! runs that runner sequentially, so `par` is a one-core rate too.
 //!
 //! ```text
 //! cargo run -p bench --release --bin calibrate
@@ -79,7 +81,8 @@ fn main() {
     );
 }
 
-/// Aggregate rayon rate over the whole machine (mergeable kernels only).
+/// Rate of the chunked map/merge runner (mergeable kernels only). With the
+/// vendored, sequential rayon stand-in this is a one-core rate.
 fn par_rate<K, F>(make: F, data: &[u8], budget: f64) -> f64
 where
     K: Kernel + kernels::parallel::Merge + Send,

@@ -24,8 +24,9 @@
 //! a directory `dosas-sim --check-obs` accepts. `--topology <spec>`
 //! re-wires the scenario's fabric (`star`, `tree[:arity]`, `fat-tree:k`)
 //! before running — `--matrix` respects the override, so the policy arena
-//! can be replayed on an oversubscribed tree. The executor is environment-selected
-//! as everywhere else: `DOSAS_EXEC=parallel` runs the sharded executor.
+//! can be replayed on an oversubscribed tree. A configuration the cluster
+//! cannot be built from (say, more hosts than the fabric wires) is reported
+//! on one line with exit status 2.
 
 use bench::{policy_matrix, scenarios};
 use dosas::policy::PolicyConfig;
@@ -99,10 +100,10 @@ fn main() {
             }
         };
         s.cfg.cluster.topology = spec;
-        if let Err(e) = s.cfg.cluster.validate() {
-            eprintln!("--topology {t}: {e}");
-            std::process::exit(2);
-        }
+    }
+    if let Err(e) = dosas::Driver::validate(&s.cfg, &s.workload) {
+        eprintln!("{}: {e}", s.name);
+        std::process::exit(2);
     }
     if matrix {
         let cells: Vec<_> = policy_matrix::policies()

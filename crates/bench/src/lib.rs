@@ -12,7 +12,6 @@ pub mod plot;
 pub mod policy_matrix;
 pub mod report;
 pub mod scenarios;
-pub mod tickworld;
 pub mod topology_churn;
 
 pub use experiments::*;
@@ -69,8 +68,8 @@ pub fn run_point_with(
 }
 
 /// Driver configuration for the large-regime benchmark point: 64 compute +
-/// 64 storage nodes (the scale the sharded executor targets — the paper
-/// testbed scaled up 8×), paper rates and scheme, fixed seed.
+/// 64 storage nodes (the paper testbed scaled up 8×), paper rates and
+/// scheme, fixed seed.
 pub fn large_driver_cfg() -> DriverConfig {
     let mut cfg = DriverConfig::paper(Scheme::dosas_default());
     cfg.cluster = ClusterConfig {
@@ -93,8 +92,7 @@ pub fn large_driver_workload() -> Workload {
 }
 
 /// Driver configuration for the scale-up benchmark point: 256 compute +
-/// 256 storage nodes, the regime where the lookahead window pays for
-/// itself (hundreds of concurrently armed lanes per refill).
+/// 256 storage nodes, where thousands of flows are in flight at once.
 pub fn xl_driver_cfg() -> DriverConfig {
     let mut cfg = DriverConfig::paper(Scheme::dosas_default());
     cfg.cluster = ClusterConfig {

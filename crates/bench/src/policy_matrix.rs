@@ -105,7 +105,7 @@ pub fn with_policy(cfg: &DriverConfig, policy: PolicyConfig) -> DriverConfig {
     out
 }
 
-/// Run one (scenario, policy) cell under the environment-selected executor.
+/// Run one (scenario, policy) cell.
 pub fn run_cell(scenario: &Scenario, policy: &PolicyConfig) -> MatrixCell {
     let cfg = with_policy(&scenario.cfg, policy.clone());
     let m = Driver::run(cfg, &scenario.workload);

@@ -20,10 +20,10 @@
 //!   produced them. Its segments tile `[0, makespan]`, so the critical
 //!   path is itself an additive decomposition of the makespan.
 //!
-//! Everything here is recorded inside event handlers, which both executors
-//! replay in an identical total order — the report is byte-identical
-//! across `ExecMode::Serial` and `Parallel{n}`. With the flag off no chain
-//! is allocated and no handler records anything.
+//! Everything here is recorded inside event handlers, which the event loop
+//! runs in one deterministic `(time, seq)` order — the report is
+//! byte-identical across runs of the same configuration. With the flag off
+//! no chain is allocated and no handler records anything.
 
 use super::Driver;
 use serde::Serialize;

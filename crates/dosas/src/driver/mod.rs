@@ -70,11 +70,9 @@ use pfs::{DataServer, MemoryStore, MetadataServer, RequestId, StripeLayout};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ranks::Ranks;
-use server::StagedTicks;
 use server::{KernelSlots, Servers};
 use simkit::{
-    Component, FaultPlan, Lane, Laned, ParallelSimulation, RngFactory, Routed, Scheduler, SimSpan,
-    SimTime, Simulation, World,
+    Component, FaultPlan, RngFactory, Routed, Scheduler, SimSpan, SimTime, Simulation, World,
 };
 use std::collections::BTreeMap;
 use telemetry::Telemetry;
@@ -152,8 +150,7 @@ pub enum Ev {
     ProbeRetry(NodeId),
     /// A delayed probe's policy finally reaches the runtime.
     PolicyArrive(u64),
-    /// Periodic observability sample (global lane, so it acts as a barrier
-    /// and reads a consistent world state in every exec mode).
+    /// Periodic observability sample of the whole world's state.
     Sample,
 }
 
@@ -183,22 +180,6 @@ impl Routed for Ev {
     }
 }
 
-impl Laned for Ev {
-    /// Shard key for the [`LaneQueue`](simkit::LaneQueue): each per-node
-    /// resource tick gets its own lane (disk `o` → even lane `2o`, CPU on
-    /// node `n` → odd lane `2n+1`); everything that can touch shared state —
-    /// rank traffic, the fabric's `NetTick`, delivery, CE control, faults —
-    /// stays in the global lane, where it acts as a barrier between
-    /// parallel tick runs (see [`simkit::BatchWorld::handle_batch`]).
-    fn lane(&self) -> Lane {
-        match *self {
-            Ev::DiskTick { ordinal, .. } => Lane::Server(2 * ordinal),
-            Ev::CpuTick { node, .. } => Lane::Server(2 * node + 1),
-            _ => Lane::Global,
-        }
-    }
-}
-
 /// The simulation world: shared resources plus one state struct per
 /// subsystem (see the module-level architecture table).
 pub struct Driver {
@@ -215,18 +196,40 @@ pub struct Driver {
     telemetry: Telemetry,
 }
 
+/// A driver configuration that cannot be built into a cluster, as found by
+/// [`Driver::validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError(pub String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid cluster config: {}", self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl Driver {
-    /// Build the world for a workload. Compute nodes are auto-expanded so
-    /// every rank gets a dedicated core (the paper's one-process-per-core
-    /// placement).
+    /// The cluster a workload actually runs on: compute nodes are
+    /// auto-expanded so every rank gets a dedicated core (the paper's
+    /// one-process-per-core placement), then the result is validated.
+    ///
+    /// [`Driver::new`] applies exactly this and panics on an error; front
+    /// ends call it first to report a bad configuration instead.
+    pub fn validate(cfg: &DriverConfig, workload: &Workload) -> Result<ClusterConfig, ConfigError> {
+        let mut cluster = cfg.cluster.clone();
+        let cores = cluster.cores_per_compute.max(1);
+        cluster.compute_nodes = cluster
+            .compute_nodes
+            .max(workload.rank_count().div_ceil(cores));
+        cluster.validate().map_err(ConfigError)?;
+        Ok(cluster)
+    }
+
+    /// Build the world for a workload on the cluster [`Driver::validate`]
+    /// derives. Panics if that cluster is invalid.
     pub fn new(mut cfg: DriverConfig, workload: &Workload) -> Self {
-        let ranks_needed = workload.rank_count();
-        let cores = cfg.cluster.cores_per_compute.max(1);
-        let min_nodes = ranks_needed.div_ceil(cores);
-        if cfg.cluster.compute_nodes < min_nodes {
-            cfg.cluster.compute_nodes = min_nodes;
-        }
-        cfg.cluster.validate().expect("invalid cluster config");
+        cfg.cluster = Self::validate(&cfg, workload).expect("invalid cluster config");
 
         let rng = RngFactory::new(cfg.seed);
         let cluster = ClusterState::build(cfg.cluster.clone(), &rng);
@@ -349,10 +352,6 @@ impl Driver {
                 disk_req: BTreeMap::new(),
                 cpu_work: BTreeMap::new(),
                 slots: KernelSlots::new(fifo_kernels),
-                staged: StagedTicks::default(),
-                run_seen: Vec::new(),
-                stage_pooled: 0,
-                stage_inline: 0,
             },
             control: Control {
                 policy,
@@ -380,60 +379,19 @@ impl Driver {
     }
 
     /// Run a workload to completion and report metrics.
-    ///
-    /// The executor is picked from the environment: `DOSAS_EXEC=parallel`
-    /// selects [`ExecMode::Parallel`] (thread count from `DOSAS_THREADS`,
-    /// default one per core), anything else runs serial. Results are
-    /// bit-identical either way, so existing suites can be re-run under the
-    /// parallel executor unchanged (`scripts/verify.sh` does).
     pub fn run(cfg: DriverConfig, workload: &Workload) -> RunMetrics {
-        Self::run_with(cfg, workload, ExecMode::from_env())
+        Self::run_with(cfg, workload, ExecMode::Serial)
     }
 
-    /// Run a workload to completion under an explicit executor.
+    /// Run a workload to completion; `mode` names the run loop, and
+    /// [`ExecMode::Serial`] is the only one.
     pub fn run_with(cfg: DriverConfig, workload: &Workload, mode: ExecMode) -> RunMetrics {
-        let scheme_name = cfg.scheme.name().to_string();
-        let total_bytes = workload.total_request_bytes() as f64;
-        let driver = Driver::new(cfg, workload);
-        let seed = driver.seed_plan();
-        match mode {
-            ExecMode::Serial => {
-                let mut sim = Simulation::new(driver);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                )
-            }
-            ExecMode::Parallel { threads } => {
-                let mut sim = ParallelSimulation::with_threads(driver, threads);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                )
-            }
-        }
+        let ExecMode::Serial = mode;
+        Self::execute(cfg, workload, false).0
     }
 
-    /// The initial event schedule, captured before the world moves into an
-    /// executor (both executors seed identically).
+    /// The initial event schedule, captured before the world moves into the
+    /// run loop.
     fn seed_plan(&self) -> SeedPlan {
         SeedPlan {
             fault_times: self.cfg.fault_plan.transition_times(),
@@ -461,91 +419,56 @@ impl Driver {
         }
     }
 
-    /// Like [`Driver::run_with`], but with wall-clock executor profiling
-    /// enabled: per-subsystem dispatch breakdown (serial) or per-batch
-    /// timing (parallel). Profiling is purely observational — the returned
+    /// Like [`Driver::run_with`], but with a wall-clock per-subsystem
+    /// dispatch profile. Profiling is purely observational — the returned
     /// [`RunMetrics`] are bit-identical to an unprofiled run.
     pub fn run_profiled(
         cfg: DriverConfig,
         workload: &Workload,
         mode: ExecMode,
     ) -> (RunMetrics, simkit::ExecProfile) {
+        let ExecMode::Serial = mode;
+        let (metrics, profile) = Self::execute(cfg, workload, true);
+        (metrics, profile.expect("profiling enabled"))
+    }
+
+    fn execute(
+        cfg: DriverConfig,
+        workload: &Workload,
+        profiled: bool,
+    ) -> (RunMetrics, Option<simkit::ExecProfile>) {
         let scheme_name = cfg.scheme.name().to_string();
         let total_bytes = workload.total_request_bytes() as f64;
         let driver = Driver::new(cfg, workload);
         let seed = driver.seed_plan();
-        match mode {
-            ExecMode::Serial => {
-                let mut sim = Simulation::new(driver);
-                sim.enable_profiling(Self::profile_label);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                let mut profile = sim.take_profile().expect("profiling enabled");
-                profile.queue_spilled = sim.scheduler().spilled_count();
-                let metrics = sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                );
-                (metrics, profile)
-            }
-            ExecMode::Parallel { threads } => {
-                let mut sim = ParallelSimulation::with_threads(driver, threads);
-                sim.enable_profiling(Self::profile_label);
-                seed.apply(sim.scheduler());
-                let end = sim.run();
-                let events = sim.scheduler().dispatched_count();
-                let scheduled = sim.scheduler().scheduled_count();
-                let cancelled = sim.scheduler().cancelled_count();
-                let mut profile = sim.take_profile().expect("profiling enabled");
-                profile.queue_spilled = sim.scheduler().spilled_count();
-                profile.lookahead = sim.scheduler().lookahead_stats();
-                profile.pool_staged = sim.world.server.stage_pooled;
-                profile.pool_bypassed = sim.world.server.stage_inline;
-                let metrics = sim.world.collect_metrics(
-                    scheme_name,
-                    total_bytes,
-                    end,
-                    events,
-                    scheduled,
-                    cancelled,
-                );
-                (metrics, profile)
-            }
+        let mut sim = Simulation::new(driver);
+        if profiled {
+            sim.enable_profiling(Self::profile_label);
         }
+        seed.apply(sim.scheduler());
+        let end = sim.run();
+        let events = sim.scheduler().dispatched_count();
+        let scheduled = sim.scheduler().scheduled_count();
+        let cancelled = sim.scheduler().cancelled_count();
+        let profile = sim.take_profile();
+        let metrics =
+            sim.world
+                .collect_metrics(scheme_name, total_bytes, end, events, scheduled, cancelled);
+        (metrics, profile)
     }
 }
 
 /// Which run loop drives the simulation.
+///
+/// The serial event loop over one heap is the only executor; a second,
+/// parallel one showed no measured win and was removed (DESIGN.md §8). The
+/// enum stays, with a single variant, because the `run_with` /
+/// `run_profiled` signatures that take it are used by external benchmark
+/// harnesses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One event at a time over the monolithic heap ([`Simulation`]).
+    /// One event at a time over the event heap ([`Simulation`]).
     Serial,
-    /// Whole-timestamp batches over per-server lanes with parallel tick
-    /// staging ([`ParallelSimulation`]); `threads == 0` means one worker
-    /// per available core. Bit-identical to [`ExecMode::Serial`].
-    Parallel { threads: usize },
-}
-
-impl ExecMode {
-    /// `DOSAS_EXEC=parallel` (+ optional `DOSAS_THREADS=n`) or serial.
-    pub fn from_env() -> Self {
-        match std::env::var("DOSAS_EXEC").as_deref() {
-            Ok("parallel") => ExecMode::Parallel {
-                threads: std::env::var("DOSAS_THREADS")
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(0),
-            },
-            _ => ExecMode::Serial,
-        }
-    }
 }
 
 /// The initial events of a run: fault transitions first, so same-time fault

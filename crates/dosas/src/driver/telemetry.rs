@@ -6,10 +6,9 @@
 //! assembles the final [`RunMetrics`] from the drained world.
 //!
 //! Unlike the other subsystems the telemetry component handles exactly one
-//! routed event, the periodic [`Ev::Sample`] tick. The tick lives on the
-//! global lane, so under the parallel executor it is a batch barrier and
-//! reads the same consistent world state the serial executor would — the
-//! timeline is byte-identical across `ExecMode`s and thread counts. The
+//! routed event, the periodic [`Ev::Sample`] tick, dispatched in the same
+//! deterministic order as every other event — the timeline is
+//! byte-identical across runs of the same configuration. The
 //! handler only *reads* simulated state (queues, slots, supervisors,
 //! runtimes, fabric) and only *writes* observer state, which no simulated
 //! path reads back, so enabling observability never changes scheme results.

@@ -798,3 +798,28 @@ fn probe_only_dosas_still_converges() {
         m.makespan_secs
     );
 }
+
+#[test]
+fn oversized_fat_tree_is_a_config_error_not_a_panic() {
+    // `dosas-sim --topology fat-tree:16 --storage-nodes 512 --n 16`: 8192
+    // ranks expand to 1024 compute nodes, and with 512 storage nodes that
+    // is more hosts than a k = 16 fat-tree (1024) can wire.
+    let mut cfg = paper_config(Scheme::dosas_default());
+    cfg.cluster.topology = cluster::TopologySpec::FatTree { k: 16 };
+    cfg.cluster.storage_nodes = 512;
+    let w = Workload::uniform_active(16, 512, mb(128), "gaussian2d", gaussian_params());
+    let err = Driver::validate(&cfg, &w).expect_err("too many hosts for the fat-tree");
+    assert!(err.to_string().starts_with("invalid cluster config: "));
+
+    // The same fabric with room to spare validates, with the compute pool
+    // expanded to one core per rank.
+    // 128 ranks on 8-core compute nodes need 16 of them (8 configured).
+    cfg.cluster.storage_nodes = 8;
+    let w = Workload::uniform_active(16, 8, mb(128), "gaussian2d", gaussian_params());
+    assert_eq!(
+        (cfg.cluster.compute_nodes, cfg.cluster.cores_per_compute),
+        (8, 8)
+    );
+    let cluster = Driver::validate(&cfg, &w).expect("fits the fat-tree");
+    assert_eq!(cluster.compute_nodes, 16);
+}

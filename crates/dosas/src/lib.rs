@@ -57,7 +57,7 @@ pub use driver::{
     AutopsyReport, CauseWait, CpSegment, CriticalPath, NodeWait, ReqHop, ReqStage, RequestAutopsy,
     TenantWait, WaitCause,
 };
-pub use driver::{Driver, DriverConfig, ExecMode, RunMetrics};
+pub use driver::{ConfigError, Driver, DriverConfig, ExecMode, RunMetrics};
 pub use driver::{TenantReport, TenantSloOutcome, TenantStats};
 pub use estimator::{
     CeStats, CeSupervisor, ContentionEstimator, Decision, Policy, ProbeVerdict, SystemProbe,

@@ -15,10 +15,9 @@
 //! A policy is a deterministic function of its construction-time
 //! [`PolicyContext`] and the sequence of [`PolicyInput`]s it has observed.
 //! It must not consult wall clocks, random sources or iteration orders
-//! outside `BTreeMap`/`BTreeSet` — the driver replays the same input
-//! sequence under the serial and sharded-parallel executors and pins the
-//! resulting [`RunMetrics`](crate::driver::RunMetrics) byte-identically
-//! (`tests/policy_arena.rs`).
+//! outside `BTreeMap`/`BTreeSet` — replaying the same input sequence must
+//! reproduce the resulting [`RunMetrics`](crate::driver::RunMetrics)
+//! byte-identically (`tests/policy_arena.rs`).
 //!
 //! Each decision round observes exactly what the paper's CE sees — the
 //! probed server's re-plannable queue plus the driver's passive telemetry —

@@ -31,7 +31,7 @@
 //!
 //! All kernels are *really executed* (this crate is the data plane);
 //! [`calibrate`] measures their per-core MB/s for Table III, and
-//! [`parallel`] runs mergeable kernels across cores with rayon.
+//! [`parallel`] runs mergeable kernels as chunked map/merge passes.
 
 mod itemstream;
 

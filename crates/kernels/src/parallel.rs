@@ -1,10 +1,12 @@
-//! Rayon-parallel execution of mergeable kernels.
+//! Chunked map/merge execution of mergeable kernels.
 //!
 //! Reduction kernels (sum, stats, histogram, kmeans) are associative: the
-//! input can be split at item boundaries, processed on independent cores and
-//! the partial states merged. This is how the client side exploits all its
-//! cores when an active I/O is demoted, and how [`crate::calibrate`]
-//! measures multi-core rates.
+//! input can be split at item boundaries, processed independently and the
+//! partial states merged. The runners here are written against rayon's
+//! `par_chunks` API, but the workspace builds against a vendored stand-in
+//! (`vendor/rayon`) that runs every chunk *sequentially* on the calling
+//! thread: results are exactly those of a parallel split, while the work
+//! uses one core.
 //!
 //! The Gaussian filter is *not* chunk-mergeable (each output row needs halo
 //! rows), and grep needs boundary stitching — see [`crate::grep`]'s
@@ -23,8 +25,8 @@ pub trait Merge: Sized {
     fn merge(&mut self, other: Self);
 }
 
-/// Process `data` in parallel with one kernel instance per rayon task and
-/// merge the partials. `chunk_bytes` must be a multiple of the kernel's item
+/// Process `data` in chunks with one kernel instance per chunk and merge
+/// the partials. `chunk_bytes` must be a multiple of the kernel's item
 /// size so no task ends mid-item.
 pub fn par_process<K, F>(make: F, data: &[u8], chunk_bytes: usize) -> K
 where
@@ -56,8 +58,8 @@ where
         .unwrap_or(proto)
 }
 
-/// Count overlapping pattern occurrences in parallel: per-chunk counts plus
-/// a stitch pass over each chunk boundary.
+/// Count overlapping pattern occurrences chunk by chunk: per-chunk counts
+/// plus a stitch pass over each chunk boundary.
 pub fn par_grep_count(data: &[u8], pattern: &[u8], chunk_bytes: usize) -> u64 {
     assert!(!pattern.is_empty());
     assert!(

@@ -7,7 +7,8 @@
 //! The Contention Estimator must balance them.
 //!
 //! Also demonstrates the data plane: the statistics kernel really reduces a
-//! synthetic temperature field, rayon-parallel on the "client" side.
+//! synthetic temperature field on the "client" side, as a chunked
+//! map/merge pass.
 //!
 //! ```text
 //! cargo run --release --example climate_stats
@@ -40,8 +41,10 @@ fn main() {
         field.len() >> 20
     );
 
-    // Client-side completion path: rayon over all cores (what the ASC does
-    // with a demoted request on a multi-core compute node).
+    // Client-side completion path: split the field into chunks, reduce each
+    // and merge the partials, the way a demoted request's work divides
+    // across a compute node's cores. (The vendored rayon runs the chunks
+    // sequentially.)
     let k = par_process(StatsKernel::new, &field, 1 << 20);
     let (min, max, mean, var, count) = StatsKernel::decode_result(&k.finalize()).unwrap();
     println!(

@@ -68,14 +68,15 @@ OPTIONS:
     --trace <path>       write a chrome://tracing timeline (last scheme)
     --obs-out <dir>      enable observability and write metrics.prom,
                          timeline.jsonl, trace.json and profile.json
-                         (executor counters) into <dir>
+                         (per-subsystem dispatch profile) into <dir>
                          (last scheme; directory is created if absent)
     --autopsy <dir>      enable per-request causal tracing and write the
                          contention-attribution report (autopsy.txt,
                          autopsy.json) into <dir> for each scheme
     --check-obs <dir>    validate a previously written --obs-out directory
                          (Prometheus snapshot parses, timeline round-trips
-                         through serde) and exit
+                         through serde, profile counts dispatched events)
+                         and exit
     -h, --help           this text
 ";
 
@@ -170,6 +171,24 @@ fn params_for(op: &str) -> KernelParams {
     }
 }
 
+fn driver_config(args: &Args, scheme: &Scheme) -> DriverConfig {
+    let mut cfg = DriverConfig::paper(scheme.clone());
+    if args.deterministic {
+        cfg.cluster = ClusterConfig::deterministic();
+    }
+    cfg.cluster.storage_nodes = args.storage_nodes;
+    if let Some(topo) = &args.topology {
+        cfg.cluster.topology = topo.clone();
+    }
+    cfg.seed = args.seed;
+    cfg.trace = args.trace.is_some() || args.obs_out.is_some();
+    if args.obs_out.is_some() {
+        cfg.obs = ObsConfig::enabled();
+    }
+    cfg.autopsy = args.autopsy.is_some();
+    cfg
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -204,6 +223,18 @@ fn main() {
         params_for(&args.op),
     );
 
+    let cfgs: Vec<DriverConfig> = args
+        .schemes
+        .iter()
+        .map(|scheme| driver_config(&args, scheme))
+        .collect();
+    for cfg in &cfgs {
+        if let Err(e) = Driver::validate(cfg, &workload) {
+            eprintln!("error: {e}");
+            exit(2);
+        }
+    }
+
     if !args.json {
         println!(
             "dosas-sim: {} × {} MB {:?} per storage node ({} node{}), seed {}\n",
@@ -219,28 +250,10 @@ fn main() {
             "scheme", "makespan(s)", "MB/s", "active", "demoted", "split", "interrupted"
         );
     }
-    for scheme in &args.schemes {
-        let mut cfg = DriverConfig::paper(scheme.clone());
-        if args.deterministic {
-            cfg.cluster = ClusterConfig::deterministic();
-        }
-        cfg.cluster.storage_nodes = args.storage_nodes;
-        if let Some(topo) = &args.topology {
-            cfg.cluster.topology = topo.clone();
-            if let Err(e) = cfg.cluster.validate() {
-                eprintln!("error: --topology {topo}: {e}");
-                exit(2);
-            }
-        }
-        cfg.seed = args.seed;
-        cfg.trace = args.trace.is_some() || args.obs_out.is_some();
-        if args.obs_out.is_some() {
-            cfg.obs = ObsConfig::enabled();
-        }
-        cfg.autopsy = args.autopsy.is_some();
+    for (scheme, cfg) in args.schemes.iter().zip(cfgs) {
         let label = scheme_label(scheme);
         let (m, profile) = if args.obs_out.is_some() {
-            let (m, p) = Driver::run_profiled(cfg, &workload, ExecMode::from_env());
+            let (m, p) = Driver::run_profiled(cfg, &workload, ExecMode::Serial);
             (m, Some(p))
         } else {
             (Driver::run(cfg, &workload), None)
@@ -301,7 +314,7 @@ fn main() {
 }
 
 /// Write the contention-attribution report for one scheme: `autopsy.txt`
-/// (the deterministic rendered report, byte-identical across executors) and
+/// (the deterministic rendered report, byte-identical across runs) and
 /// `autopsy.json` (the full structured breakdown). Files are prefixed with
 /// the scheme label so a multi-scheme run keeps every report.
 fn write_autopsy_dir(dir: &str, label: &str, m: &RunMetrics, quiet: bool) -> std::io::Result<()> {
@@ -330,7 +343,8 @@ fn write_autopsy_dir(dir: &str, label: &str, m: &RunMetrics, quiet: bool) -> std
 
 /// Write the observability artifacts — `metrics.prom` (Prometheus text
 /// exposition), `timeline.jsonl` (merged samples + events), `trace.json`
-/// (chrome://tracing) and `profile.json` (executor counters) — into `dir`.
+/// (chrome://tracing) and `profile.json` (per-subsystem dispatch profile)
+/// — into `dir`.
 fn write_obs_dir(
     dir: &str,
     m: &RunMetrics,
@@ -364,8 +378,9 @@ fn write_obs_dir(
 }
 
 /// Validate an `--obs-out` directory: the Prometheus snapshot must pass the
-/// text-exposition checker and every timeline line must round-trip through
-/// serde byte-for-byte. Returns (prometheus sample lines, timeline records).
+/// text-exposition checker, every timeline line must round-trip through
+/// serde byte-for-byte, and the dispatch profile must count at least one
+/// dispatched event. Returns (prometheus sample lines, timeline records).
 fn check_obs_dir(dir: &str) -> Result<(usize, usize), String> {
     let dir = std::path::Path::new(dir);
     let prom = std::fs::read_to_string(dir.join("metrics.prom"))
@@ -394,8 +409,15 @@ fn check_obs_dir(dir: &str) -> Result<(usize, usize), String> {
         .map_err(|e| format!("read profile.json: {e}"))?;
     let p: serde_json::Value =
         serde_json::from_str(&profile).map_err(|e| format!("profile.json: {e}"))?;
-    if p.get("batches").is_none() {
-        return Err("profile.json: missing executor counters".into());
+    let events: u64 = p
+        .get("dispatch")
+        .and_then(|d| d.as_object())
+        .ok_or("profile.json: missing dispatch profile")?
+        .iter()
+        .filter_map(|(_, stat)| stat.get("events")?.as_u64())
+        .sum();
+    if events == 0 {
+        return Err("profile.json: dispatch profile counts no events".into());
     }
     Ok((samples, lines))
 }

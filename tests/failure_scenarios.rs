@@ -399,30 +399,6 @@ fn zero_rate_stall_window_completes_after_recovery() {
         m.makespan_secs,
         clean.makespan_secs
     );
-    // The stall also exercises the no-completion NetTick cancellation path
-    // in both executors; the run must stay bit-identical across modes.
-    let p = Driver::run_with(
-        det(Scheme::dosas_default(), {
-            FaultPlan::new()
-                .inject(
-                    STORAGE_NODE,
-                    FaultKind::CpuSlowdown { factor: 0.0 },
-                    secs(0.2),
-                    span(1.0),
-                )
-                .inject(
-                    STORAGE_NODE,
-                    FaultKind::NetBandwidthDip { factor: 0.0 },
-                    secs(0.2),
-                    span(1.0),
-                )
-        }),
-        &w,
-        ExecMode::Parallel { threads: 2 },
-    );
-    assert_eq!(m.makespan_secs.to_bits(), p.makespan_secs.to_bits());
-    assert_eq!(m.events, p.events);
-    assert_eq!(m.events_cancelled, p.events_cancelled);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,16 +409,14 @@ fn zero_rate_stall_window_completes_after_recovery() {
 /// flight — CPU to zero, disk stalled, probes lost, and its fabric links
 /// offline — then rejoins a second later. Parked flows must not strand in
 /// the fabric's epoch-tagged completion heap: every request completes
-/// after the rejoin, the CE recovers from its probe blackout, and the
-/// whole membership cycle replays bit-identically under the parallel
-/// executor.
+/// after the rejoin and the CE recovers from its probe blackout.
 #[test]
 fn node_leave_mid_transfer_completes_after_rejoin() {
     let w = gaussians(4);
     let clean = run_deterministic(&det(Scheme::dosas_default(), FaultPlan::new()), &w);
 
-    let plan = || FaultPlan::new().node_leave(STORAGE_NODE, secs(0.3), span(1.0));
-    let m = run_deterministic(&det(Scheme::dosas_default(), plan()), &w);
+    let plan = FaultPlan::new().node_leave(STORAGE_NODE, secs(0.3), span(1.0));
+    let m = run_deterministic(&det(Scheme::dosas_default(), plan), &w);
 
     assert_all_complete(&m, 4);
     assert!(m.ce.probes_lost > 0, "probes of an absent node are lost");
@@ -457,17 +431,4 @@ fn node_leave_mid_transfer_completes_after_rejoin() {
         m.makespan_secs,
         clean.makespan_secs
     );
-
-    // The leave/rejoin cycle drives the no-completion NetTick path (every
-    // flow parked at rate zero) and the membership dirty-link path in both
-    // executors; the outcomes must stay bit-identical.
-    let p = Driver::run_with(
-        det(Scheme::dosas_default(), plan()),
-        &w,
-        ExecMode::Parallel { threads: 2 },
-    );
-    assert_eq!(m.makespan_secs.to_bits(), p.makespan_secs.to_bits());
-    assert_eq!(m.events, p.events);
-    assert_eq!(m.runtime, p.runtime);
-    assert_eq!(m.ce, p.ce);
 }

@@ -160,3 +160,75 @@ proptest! {
         );
     }
 }
+
+/// Discfarm's storage node (8 compute nodes come first).
+const STORAGE_NODE: usize = 8;
+
+/// A contended run that stacks the order-sensitive machinery: DOSAS
+/// demote/interrupt decisions, per-flow bandwidth jitter, CPU jitter RNG
+/// draws, and a mid-run storage-node CPU fault window.
+fn contended_run(seed: u64) -> RunMetrics {
+    let mut cfg = DriverConfig::paper(Scheme::dosas_default());
+    cfg.seed = seed;
+    cfg.fault_plan = FaultPlan::new().inject(
+        STORAGE_NODE,
+        FaultKind::CpuSlowdown { factor: 0.4 },
+        SimTime::from_secs_f64(1.0),
+        SimSpan::from_secs_f64(2.0),
+    );
+    let workload =
+        Workload::uniform_active(6, 1, 48 << 20, "gaussian2d", KernelParams::with_width(1024));
+    Driver::run(cfg, &workload)
+}
+
+/// Scheduled-vs-dispatched accounting: a run-to-drain simulation dispatches
+/// every event it ever scheduled except the stale `NetTick`s the incremental
+/// fabric revoked before they could fire.
+#[test]
+fn run_to_drain_dispatches_every_scheduled_event() {
+    let metrics = contended_run(3);
+    assert_eq!(
+        metrics.events_scheduled,
+        metrics.events + metrics.events_cancelled,
+        "drained run should leave no pending events"
+    );
+    assert!(metrics.events > 0);
+    assert!(
+        metrics.events_cancelled > 0,
+        "a contended workload must supersede at least one NetTick"
+    );
+}
+
+/// Different seeds produce different runs: the determinism checks above are
+/// not vacuous, because jitter is on and actually consumed.
+#[test]
+fn runs_distinguish_seeds() {
+    let json = |seed| serde_json::to_string(&contended_run(seed)).expect("RunMetrics serializes");
+    assert_ne!(json(7), json(8), "seeds 7 and 8 produced identical metrics");
+}
+
+/// A cluster the fabric cannot wire is a one-line configuration error with
+/// exit status 2, not a panic: 16 ranks on each of 512 storage nodes need
+/// 1024 compute nodes, more hosts than a k = 16 fat-tree holds.
+#[test]
+fn dosas_sim_reports_an_unbuildable_cluster_with_exit_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dosas-sim"))
+        .args([
+            "--topology",
+            "fat-tree:16",
+            "--storage-nodes",
+            "512",
+            "--n",
+            "16",
+        ])
+        .output()
+        .expect("dosas-sim runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "one line of error: {stderr}");
+    assert!(
+        stderr.starts_with("error: invalid cluster config: "),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing printed before the error");
+}
