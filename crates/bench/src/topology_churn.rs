@@ -5,7 +5,7 @@
 //! Where [`crate::fabric_churn`] stresses coalescing on a star with many
 //! tiny disjoint components, this schedule stresses the *graph* fill: a
 //! k-ary fat-tree at full bisection with every host carrying several
-//! long-lived intra-pod transfers. Intra-pod pairs keep each union-find
+//! long-lived intra-pod transfers. Intra-pod pairs keep each max-min
 //! component pod-sized, so after a churn burst the incremental fill
 //! re-derives one pod's flows and leaves the other `k − 1` pods' rates
 //! untouched — while [`FillMode::FullRescan`] (the pre-incremental

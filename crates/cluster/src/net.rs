@@ -30,13 +30,29 @@
 //! A debug assertion cross-checks every incremental fill against a
 //! from-scratch fill of all components.
 //!
+//! The fabric keeps a persistent **link → flows index**: an ordered set of
+//! `(link id, flow id, the flow's first link)` entries, one per link of
+//! every live flow's route, so each link's flows form one range in
+//! ascending `FlowId` order. A flow's entries are inserted when it starts
+//! and removed when it completes or is cancelled. An ordered set keeps the
+//! index's memory proportional to the flows in flight; one list per link
+//! would cost memory per link (a k = 16 fat-tree has 6k). A fill finds the
+//! dirty components by a depth-first walk from the dirty links over this
+//! index, so its cost is proportional to the flows it refills, not to all
+//! flows in flight. The same index answers per-node queries
+//! ([`Fabric::tx_observation`], [`Fabric::tx_utilization`],
+//! [`Fabric::rx_utilization`]) from the node's access link alone.
+//!
 //! Completion queries are O(log n): each fill pushes projected completion
 //! times into a min-heap of `(time, generation, id)` entries; entries
 //! superseded by a newer fill or orphaned by flow removal are lazily
-//! discarded at the heap top.
+//! discarded at the heap top. [`Fabric::take_completed`] harvests its
+//! candidates from the same heap (the live entries due within 2 ns of
+//! `now`) instead of scanning every flow.
 //!
 //! [`FillMode::FullRescan`] disables all of this (eager per-mutation global
-//! fills and linear-scan completion queries, the pre-incremental behavior)
+//! fills and linear-scan completion queries and harvests, the
+//! pre-incremental behavior; the index is still kept)
 //! so benchmarks can compare against the old cost model.
 //!
 //! Like the other resources, the fabric is driven by the simulation loop via
@@ -159,9 +175,21 @@ pub struct Fabric {
     /// True when a mutation has invalidated `rate` fields and the heap.
     dirty: bool,
     /// Link ids touched since the last fill (tx n → 2n, rx n → 2n+1,
-    /// interior/switch ≥ 2·hosts). Bounds the incremental pass to their
-    /// components.
-    dirty_links: BTreeSet<usize>,
+    /// interior/switch ≥ 2·hosts), possibly repeated. Bounds the
+    /// incremental pass to their components.
+    dirty_links: Vec<usize>,
+    /// Link → flows index: `(link id, flow, the flow's first link)` for
+    /// every link of every live flow's route, so a link's flows are one
+    /// contiguous range, ascending by `FlowId`. Its size follows the flows
+    /// in flight, not the topology.
+    link_flows: BTreeSet<(u32, FlowId, u32)>,
+    /// Per-link visit stamp of the dirty-component walk: a link has been
+    /// reached in the current walk iff its stamp equals `walk`. Allocated
+    /// by the first walk (a fabric that never fills never pays for it),
+    /// with one spare slot past the topology's links for the star's switch
+    /// core id `2·hosts`.
+    link_seen: Vec<u64>,
+    walk: u64,
     /// Min-heap of projected completions `(done_at, generation, id)`.
     /// `done_at` is invariant under [`advance`](Fabric::advance) at constant
     /// rates, so entries stay valid until a fill supersedes them.
@@ -250,7 +278,10 @@ impl Fabric {
             next_id: 0,
             bytes_delivered: 0.0,
             dirty: false,
-            dirty_links: BTreeSet::new(),
+            dirty_links: Vec::new(),
+            link_flows: BTreeSet::new(),
+            link_seen: Vec::new(),
+            walk: 0,
             heap: BinaryHeap::new(),
             next_gen: 0,
             fill_mode: FillMode::default(),
@@ -321,8 +352,8 @@ impl Fabric {
         if (factor - self.link_factor[n.0]).abs() > f64::EPSILON {
             self.advance(now);
             self.link_factor[n.0] = factor;
-            self.dirty_links.insert(Self::tx_link(n.0));
-            self.dirty_links.insert(Self::rx_link(n.0));
+            self.dirty_links
+                .extend([Self::tx_link(n.0), Self::rx_link(n.0)]);
             self.bump();
         }
     }
@@ -343,8 +374,8 @@ impl Fabric {
         if self.online[n.0] != online {
             self.advance(now);
             self.online[n.0] = online;
-            self.dirty_links.insert(Self::tx_link(n.0));
-            self.dirty_links.insert(Self::rx_link(n.0));
+            self.dirty_links
+                .extend([Self::tx_link(n.0), Self::rx_link(n.0)]);
             self.bump();
         }
     }
@@ -386,9 +417,34 @@ impl Fabric {
     /// Mark every link of a route dirty (the flow's component must be
     /// refilled).
     fn mark_route_dirty(&mut self, route: &[u32]) {
+        self.dirty_links.extend(route.iter().map(|&l| l as usize));
+    }
+
+    /// Index a new flow under every link of its route.
+    fn index(&mut self, id: FlowId, route: &[u32]) {
+        self.link_flows
+            .extend(route.iter().map(|&link| (link, id, route[0])));
+    }
+
+    /// Drop a removed flow from the index entries of its route.
+    fn unindex(&mut self, id: FlowId, route: &[u32]) {
         for &link in route {
-            self.dirty_links.insert(link as usize);
+            let indexed = self.link_flows.remove(&(link, id, route[0]));
+            debug_assert!(indexed, "flow {id:?} missing from link {link}");
         }
+    }
+
+    /// The live flows whose route uses `link`, ascending, each with its
+    /// first route link.
+    fn on_link(
+        index: &BTreeSet<(u32, FlowId, u32)>,
+        link: usize,
+    ) -> impl Iterator<Item = (FlowId, u32)> + '_ {
+        let link = link as u32;
+        index
+            .range((link, FlowId(0), 0)..)
+            .take_while(move |e| e.0 == link)
+            .map(|&(_, id, first)| (id, first))
     }
 
     /// Start a transfer of `bytes` from `src` to `dst`.
@@ -412,6 +468,7 @@ impl Fabric {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.mark_route_dirty(&route);
+        self.index(id, &route);
         self.flows.insert(
             id,
             Flow {
@@ -466,6 +523,7 @@ impl Fabric {
         self.advance(now);
         let f = self.flows.remove(&id)?;
         self.mark_route_dirty(&f.route);
+        self.unindex(id, &f.route);
         self.bump();
         let progress = if f.total > 0.0 {
             ((f.total - f.remaining) / f.total).clamp(0.0, 1.0)
@@ -530,21 +588,27 @@ impl Fabric {
         best.map(|dt| self.last_update + SimSpan::from_secs_f64(dt))
     }
 
-    /// Advance to `now` and collect finished flows.
+    /// Advance to `now` and collect finished flows, in `FlowId` order.
     pub fn take_completed(&mut self, now: SimTime) -> Vec<FlowCompletion> {
         self.advance(now);
         self.ensure_rates();
-        let done: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= f.rate * 0.5e-9 || f.remaining <= 0.0)
-            .map(|(&id, _)| id)
-            .collect();
+        let done = if self.fill_mode == FillMode::FullRescan {
+            self.finished_by_scan()
+        } else {
+            let done = self.finished_from_heap(now);
+            debug_assert_eq!(
+                done,
+                self.finished_by_scan(),
+                "heap harvest diverged from a scan of every flow"
+            );
+            done
+        };
         let mut out = Vec::with_capacity(done.len());
         for id in done {
             let f = self.flows.remove(&id).expect("listed flow exists");
             self.bytes_delivered += f.total;
             self.mark_route_dirty(&f.route);
+            self.unindex(id, &f.route);
             out.push(FlowCompletion {
                 id,
                 src: f.src,
@@ -556,6 +620,48 @@ impl Fabric {
             self.bump();
         }
         out
+    }
+
+    /// Has `f` finished? Less than half a nanosecond of transfer at its
+    /// current rate is left (or nothing at all).
+    fn is_finished(f: &Flow) -> bool {
+        f.remaining <= f.rate * 0.5e-9 || f.remaining <= 0.0
+    }
+
+    /// Finished flows by a scan of every flow (FullRescan mode, and the
+    /// debug oracle of [`Fabric::finished_from_heap`]).
+    fn finished_by_scan(&self) -> Vec<FlowId> {
+        self.flows
+            .iter()
+            .filter(|(_, f)| Self::is_finished(f))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// Finished flows, ascending, from the completion heap: every finished
+    /// flow has a live entry projected no later than `now + 2 ns` (the
+    /// projection rounds up to whole nanoseconds and the finish test
+    /// allows half a nanosecond), so only those entries are examined.
+    /// Stale entries among them are dropped; live ones whose flow is not
+    /// finished yet go back on the heap unchanged.
+    fn finished_from_heap(&mut self, now: SimTime) -> Vec<FlowId> {
+        let horizon = now + SimSpan::from_nanos(2);
+        let mut done = Vec::new();
+        let mut pending = Vec::new();
+        while let Some(&Reverse(entry @ (t, gen, id))) = self.heap.peek() {
+            if t > horizon {
+                break;
+            }
+            self.heap.pop();
+            match self.flows.get(&id) {
+                Some(f) if f.gen == gen && Self::is_finished(f) => done.push(id),
+                Some(f) if f.gen == gen => pending.push(Reverse(entry)),
+                _ => {}
+            }
+        }
+        self.heap.extend(pending);
+        done.sort_unstable();
+        done
     }
 
     /// Current rate of flow `id` (bytes/second).
@@ -571,15 +677,8 @@ impl Fabric {
     /// achievable bandwidth.
     pub fn tx_observation(&mut self, n: NodeId) -> (f64, usize) {
         self.ensure_rates();
-        let mut rate = 0.0;
-        let mut count = 0;
-        for f in self.flows.values() {
-            if f.src == n {
-                rate += f.rate;
-                count += 1;
-            }
-        }
-        (rate, count)
+        let count = Self::on_link(&self.link_flows, Self::tx_link(n.0)).count();
+        (self.rate_sum(Self::tx_link(n.0)), count)
     }
 
     /// Utilization of node `n`'s transmit link, `[0, 1]`. The `+ 0.0`
@@ -592,12 +691,7 @@ impl Fabric {
         if eff <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| f.src == n)
-            .map(|f| f.rate)
-            .sum();
+        let used = self.rate_sum(Self::tx_link(n.0));
         (used / eff).clamp(0.0, 1.0) + 0.0
     }
 
@@ -609,13 +703,18 @@ impl Fabric {
         if eff <= 0.0 {
             return 0.0;
         }
-        let used: f64 = self
-            .flows
-            .values()
-            .filter(|f| f.dst == n)
-            .map(|f| f.rate)
-            .sum();
+        let used = self.rate_sum(Self::rx_link(n.0));
         (used / eff).clamp(0.0, 1.0) + 0.0
+    }
+
+    /// Sum of the current rates of the flows on `link`, folded in
+    /// ascending `FlowId` order. A node's tx (rx) access link carries
+    /// exactly the flows it sends (receives): routes start at `tx(src)` and
+    /// end at `rx(dst)`, and no other route touches either link.
+    fn rate_sum(&self, link: usize) -> f64 {
+        Self::on_link(&self.link_flows, link)
+            .map(|(id, _)| self.flows[&id].rate)
+            .sum()
     }
 
     fn bump(&mut self) {
@@ -648,26 +747,7 @@ impl Fabric {
             return;
         }
 
-        // Union links into components via the current flow set; a component
-        // needs refilling iff it contains a dirtied link. The `+ 1` spare
-        // slot covers the star's (possibly uncapped, hence routeless)
-        // switch core id `2·hosts`.
-        let mut uf = UnionFind::new(self.topo.num_links() + 1);
-        for f in self.flows.values() {
-            let first = f.route[0] as usize;
-            for &link in &f.route {
-                uf.union(first, link as usize);
-            }
-        }
-        let dirty_roots: BTreeSet<usize> = self.dirty_links.iter().map(|&l| uf.find(l)).collect();
-        self.dirty_links.clear();
-
-        let refill: Vec<FlowId> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| dirty_roots.contains(&uf.find(f.route[0] as usize)))
-            .map(|(&id, _)| id)
-            .collect();
+        let refill = self.dirty_component_flows();
         self.counters.flows_refilled += refill.len() as u64;
         self.counters.flows_reused += (self.flows.len() - refill.len()) as u64;
 
@@ -693,6 +773,45 @@ impl Fabric {
                 );
             }
         }
+    }
+
+    /// Every flow in a connected component (flows transitively coupled
+    /// through shared links) that contains a dirty link, ascending by
+    /// `FlowId`; consumes `dirty_links`. A depth-first walk over the
+    /// link → flows index from the dirty links. A flow reached through any
+    /// link pulls in its first link; reached through its first link (which
+    /// every walk through the flow therefore visits, exactly once), it is
+    /// listed and pulls in the rest of its route. So each refilled flow's
+    /// route is read once.
+    fn dirty_component_flows(&mut self) -> Vec<FlowId> {
+        if self.link_seen.is_empty() {
+            self.link_seen = vec![0; self.topo.num_links() + 1];
+        }
+        self.walk += 1;
+        let walk = self.walk;
+        // Marks `link` reached; true the first time in this walk.
+        let first_visit =
+            |seen: &mut Vec<u64>, link: usize| std::mem::replace(&mut seen[link], walk) != walk;
+        let mut stack: Vec<usize> = std::mem::take(&mut self.dirty_links);
+        stack.retain(|&l| first_visit(&mut self.link_seen, l));
+        let mut refill = Vec::new();
+        while let Some(l) = stack.pop() {
+            for (id, first) in Self::on_link(&self.link_flows, l) {
+                let route: &[u32] = if first as usize == l {
+                    refill.push(id);
+                    &self.flows[&id].route
+                } else {
+                    std::slice::from_ref(&first)
+                };
+                for &next in route {
+                    if first_visit(&mut self.link_seen, next as usize) {
+                        stack.push(next as usize);
+                    }
+                }
+            }
+        }
+        refill.sort_unstable();
+        refill
     }
 
     /// Push fresh completion projections for `refilled` flows; entries of
@@ -827,36 +946,6 @@ impl Fabric {
             .zip(frozen_rate)
             .map(|(id, rate)| (id, rate.expect("all flows frozen")))
             .collect()
-    }
-}
-
-/// Minimal deterministic union-find with path halving.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Deterministic orientation: smaller root wins.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
     }
 }
 
@@ -1507,6 +1596,173 @@ mod proptests {
                     prop_assert_eq!(inc.rate_of(a).unwrap().to_bits(),
                                     full.rate_of(b).unwrap().to_bits());
                 }
+            }
+        });
+    }
+
+    /// Minimal deterministic union-find with path halving: the
+    /// dirty-component discovery the link → flows index replaced, kept as
+    /// the oracle for it.
+    struct UnionFind {
+        parent: Vec<usize>,
+    }
+
+    impl UnionFind {
+        fn new(n: usize) -> Self {
+            UnionFind {
+                parent: (0..n).collect(),
+            }
+        }
+
+        fn find(&mut self, mut x: usize) -> usize {
+            while self.parent[x] != x {
+                self.parent[x] = self.parent[self.parent[x]];
+                x = self.parent[x];
+            }
+            x
+        }
+
+        fn union(&mut self, a: usize, b: usize) {
+            let (ra, rb) = (self.find(a), self.find(b));
+            if ra != rb {
+                // Deterministic orientation: smaller root wins.
+                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                self.parent[hi] = lo;
+            }
+        }
+    }
+
+    /// The flows a fill of `f` must refill, derived from scratch: union
+    /// every flow's route into link components, then keep the flows whose
+    /// component holds a dirty link.
+    fn union_find_refill(f: &Fabric) -> Vec<FlowId> {
+        let mut uf = UnionFind::new(f.topo.num_links() + 1);
+        for fl in f.flows.values() {
+            let first = fl.route[0] as usize;
+            for &link in &fl.route {
+                uf.union(first, link as usize);
+            }
+        }
+        let roots: BTreeSet<usize> = f.dirty_links.iter().map(|&l| uf.find(l)).collect();
+        f.flows
+            .iter()
+            .filter(|(_, fl)| roots.contains(&uf.find(fl.route[0] as usize)))
+            .map(|(&id, _)| id)
+            .collect()
+    }
+
+    /// The link → flows index rebuilt from the flow table.
+    fn rebuilt_index(f: &Fabric) -> BTreeSet<(u32, FlowId, u32)> {
+        f.flows
+            .iter()
+            .flat_map(|(&id, fl)| fl.route.iter().map(move |&link| (link, id, fl.route[0])))
+            .collect()
+    }
+
+    /// The link → flows index against its definition, under random
+    /// start / cancel / complete / `set_flow_cap` / `set_link_factor` /
+    /// `set_node_online` sequences on star (uncapped and capped core),
+    /// tree and fat-tree fabrics. After every op:
+    /// - the index equals a rebuild from the flow table, in both modes;
+    /// - the pending refill set equals the union-find components of the
+    ///   dirty links;
+    /// - the fill counters advance exactly as union-find discovery would
+    ///   count them, churn is counted like the FullRescan twin's, and
+    ///   every rate (read on a copy, so coalescing is untouched) matches
+    ///   the twin bit for bit.
+    #[test]
+    fn link_index_matches_rebuild_and_union_find() {
+        // Op encoding: kind 0 start, 1 cancel, 2 set_flow_cap,
+        // 3 set_link_factor, 4 set_node_online, 5 advance time and harvest
+        // completions.
+        let op = || {
+            (
+                0u8..6,
+                0usize..16,
+                0usize..16,
+                1.0f64..1e6,
+                0.0f64..1.0,
+                0usize..64,
+            )
+        };
+        proptest!(|(ops in collection::vec(op(), 1..60), shape in 0u8..4)| {
+            let (topo, switch) = match shape {
+                0 => (Topology::star(8), None),
+                1 => (Topology::star(8), Some(350.0)),
+                2 => (Topology::tree(8, 2), None),
+                _ => (Topology::fat_tree(4, 16), None),
+            };
+            let hosts = topo.hosts();
+            let mk = |topo: Topology| Fabric::with_topology(
+                topo, 100.0, switch, SimSpan::ZERO, None,
+                RngFactory::new(41).stream("index"));
+            let mut inc = mk(topo.clone());
+            let mut full = mk(topo);
+            full.set_fill_mode(FillMode::FullRescan);
+            let mut now = SimTime::ZERO;
+            let mut live: Vec<FlowId> = Vec::new();
+            let mut want = inc.fill_counters();
+            for (kind, s, d, bytes, x, victim) in ops {
+                let (s, d) = (s % hosts, d % hosts);
+                let pending = inc.dirty.then(|| (union_find_refill(&inc), inc.flows.len()));
+                let fills_before = inc.fill_counters().fills;
+                match kind {
+                    0 if s != d => {
+                        let id = inc.start_flow(now, NodeId(s), NodeId(d), bytes);
+                        prop_assert_eq!(full.start_flow(now, NodeId(s), NodeId(d), bytes), id);
+                        live.push(id);
+                    }
+                    1 if !live.is_empty() => {
+                        let id = live.remove(victim % live.len());
+                        prop_assert_eq!(inc.cancel_flow(now, id), full.cancel_flow(now, id));
+                    }
+                    2 if !live.is_empty() => {
+                        let id = live[victim % live.len()];
+                        let cap = 10.0 + (x * 8.0).round() * 10.0;
+                        prop_assert_eq!(inc.set_flow_cap(now, id, cap),
+                                        full.set_flow_cap(now, id, cap));
+                    }
+                    3 => {
+                        let factor = (x * 4.0).round() / 4.0;
+                        inc.set_link_factor(now, NodeId(s), factor);
+                        full.set_link_factor(now, NodeId(s), factor);
+                    }
+                    4 => {
+                        inc.set_node_online(now, NodeId(s), x >= 0.3);
+                        full.set_node_online(now, NodeId(s), x >= 0.3);
+                    }
+                    5 => {
+                        now += SimSpan::from_secs_f64(x * 0.2);
+                        let done = inc.take_completed(now);
+                        prop_assert_eq!(&done, &full.take_completed(now));
+                        live.retain(|id| !done.iter().any(|c| c.id == *id));
+                    }
+                    _ => {}
+                }
+
+                // A fill inside the op refilled the components pending
+                // before it (every mutator flushes before it mutates).
+                let got = inc.fill_counters();
+                if got.fills != fills_before {
+                    let (refill, flows) = pending.expect("a fill implies pending churn");
+                    want.fills += 1;
+                    want.flows_refilled += refill.len() as u64;
+                    want.flows_reused += (flows - refill.len()) as u64;
+                }
+                want.churn_ops = full.fill_counters().churn_ops;
+                prop_assert_eq!(got, want);
+
+                prop_assert_eq!(&inc.link_flows, &rebuilt_index(&inc));
+                prop_assert_eq!(&full.link_flows, &rebuilt_index(&full));
+                prop_assert_eq!(inc.clone().dirty_component_flows(), union_find_refill(&inc));
+
+                let mut probe = inc.clone();
+                for &id in &live {
+                    prop_assert_eq!(probe.rate_of(id).unwrap().to_bits(),
+                                    full.rate_of(id).unwrap().to_bits(),
+                                    "flow {:?} rate diverged", id);
+                }
+                prop_assert_eq!(probe.next_completion(), full.next_completion());
             }
         });
     }

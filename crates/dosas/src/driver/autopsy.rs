@@ -582,9 +582,8 @@ impl Driver {
         end: SimTime,
     ) -> WaitCause {
         let faulted = self
-            .cfg
-            .fault_plan
-            .overlapping(start, end, node)
+            .node_faults(node)
+            .overlapping(start, end)
             .any(|e| matches!(e.kind, FaultKind::DiskStall | FaultKind::NodeLeave));
         if faulted {
             WaitCause::FaultStall
@@ -597,9 +596,8 @@ impl Driver {
     /// window overlapping the hop owns it; otherwise processor sharing.
     pub(super) fn autopsy_cause_cpu(&self, node: usize, start: SimTime, end: SimTime) -> WaitCause {
         let faulted = self
-            .cfg
-            .fault_plan
-            .overlapping(start, end, node)
+            .node_faults(node)
+            .overlapping(start, end)
             .any(|e| matches!(e.kind, FaultKind::CpuSlowdown { .. } | FaultKind::NodeLeave));
         if faulted {
             WaitCause::FaultStall
@@ -623,7 +621,7 @@ impl Driver {
             return WaitCause::RateCap;
         }
         let dipped = |node: usize| {
-            self.cfg.fault_plan.overlapping(start, end, node).any(|e| {
+            self.node_faults(node).overlapping(start, end).any(|e| {
                 matches!(
                     e.kind,
                     FaultKind::NetBandwidthDip { .. } | FaultKind::NodeLeave

@@ -247,7 +247,7 @@ impl Driver {
         // A checkpoint-ship fault active on the source dooms migrated
         // shipments launched under it: the transfer runs its course and
         // then fails instead of delivering (see `on_checkpoint_ship_failed`).
-        if migrated && self.cfg.fault_plan.checkpoint_ship_fails(now, src.0) {
+        if migrated && self.node_faults(src.0).checkpoint_ship_fails(now) {
             self.io.doomed_flows.insert(flow);
         }
     }

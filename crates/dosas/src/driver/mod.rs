@@ -362,7 +362,7 @@ impl Driver {
                 bw_estimate: BTreeMap::new(),
                 telemetry: crate::policy::PolicyTelemetry::default(),
             },
-            faults: Faults::default(),
+            faults: Faults::new(&cfg.fault_plan),
             telemetry: Telemetry::new(&cfg.obs, cfg.autopsy.then(|| workload.rank_count())),
             cfg,
         }

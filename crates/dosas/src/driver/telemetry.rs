@@ -205,7 +205,7 @@ impl Driver {
                 }
             })
             .collect();
-        let active_faults = self.cfg.fault_plan.active_count(now);
+        let active_faults = self.faults.index.active_count(now);
         let o = self.telemetry.obs.as_mut().expect("checked above");
         o.registry_mut().inc("telemetry", "samples", Label::None);
         o.registry_mut().set_gauge(

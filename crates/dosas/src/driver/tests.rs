@@ -823,3 +823,51 @@ fn oversized_fat_tree_is_a_config_error_not_a_panic() {
     let cluster = Driver::validate(&cfg, &w).expect("fits the fat-tree");
     assert_eq!(cluster.compute_nodes, 16);
 }
+
+/// Fault transitions evaluate only the nodes whose windows open or close
+/// at `now`. Under random storms with overlapping windows plus leave /
+/// rejoin windows, after every `Ev::Fault` each node's CPU capacity
+/// factor, link factor and membership must still equal a re-derivation
+/// from the whole plan (factors up to the `f64::EPSILON` change threshold
+/// `apply_faults` uses).
+#[test]
+fn fault_state_matches_the_whole_plan_after_every_transition() {
+    use proptest::prelude::*;
+    proptest!(|(seed in 0u64..1_000_000,
+                per_node in 1usize..5,
+                leaves in proptest::collection::vec((0usize..64, 0.0f64..1.5, 0.05f64..1.0), 0..4))| {
+        let mut cfg = det_config(Scheme::dosas_default());
+        cfg.cluster.storage_nodes = 4;
+        let w = Workload::uniform_active(4, 4, mb(32), "gaussian2d", gaussian_params());
+        let total = Driver::validate(&cfg, &w).expect("valid").total_nodes();
+        let nodes: Vec<usize> = (0..total).collect();
+        let mut rng = simkit::RngFactory::new(seed).stream("storm");
+        let mut plan = FaultPlan::random_storm(&mut rng, &nodes, SimTime::ZERO,
+            SimSpan::from_secs_f64(1.5), per_node);
+        for (node, start, len) in leaves {
+            plan = plan.node_leave(node % total, SimTime::from_secs_f64(start),
+                SimSpan::from_secs_f64(len));
+        }
+        cfg.fault_plan = plan.clone();
+
+        let driver = Driver::new(cfg, &w);
+        let seeds = driver.seed_plan();
+        let mut sim = Simulation::new(driver);
+        seeds.apply(sim.scheduler());
+        for t in plan.transition_times() {
+            sim.run_until(t);
+            let cluster = &sim.world.cluster;
+            for n in 0..total {
+                let cpu = cluster.cpus[n].capacity_factor();
+                prop_assert!((cpu - plan.node(n).cpu_factor(t)).abs() <= f64::EPSILON,
+                    "node {} cpu factor {} at {:?}", n, cpu, t);
+                let net = cluster.fabric.link_factor(NodeId(n));
+                prop_assert!((net - plan.node(n).net_factor(t)).abs() <= f64::EPSILON,
+                    "node {} link factor {} at {:?}", n, net, t);
+                prop_assert_eq!(cluster.fabric.node_online(NodeId(n)), !plan.node(n).offline(t),
+                    "node {} membership at {:?}", n, t);
+            }
+        }
+        sim.run();
+    });
+}

@@ -49,7 +49,7 @@ pub mod time;
 pub use component::{Component, Routed};
 pub use event::EventQueue;
 pub use executor::{DispatchStat, EventHandle, ExecProfile, Scheduler, Simulation, World};
-pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use fault::{FaultEvent, FaultIndex, FaultKind, FaultPlan, NodeFaults};
 pub use fifo::FifoServer;
 pub use rng::RngFactory;
 pub use share::{ShareResource, TaskId};

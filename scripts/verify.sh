@@ -20,6 +20,9 @@ fi
 
 cargo test -q --workspace
 cargo test -q --test failure_scenarios
+# Fault transitions touch only the nodes whose windows open or close then;
+# every node's fault state must still match the whole plan (DESIGN.md §6).
+cargo test -q -p dosas --lib fault_state_matches_the_whole_plan_after_every_transition
 # Pinned proptest counterexamples must stay checked in and keep passing:
 # proptest replays every seed in the regressions file before generating new
 # cases, so running the suite re-verifies each past failure on every gate.
@@ -40,9 +43,12 @@ cargo test -q --test policy_arena
 cargo test -q -p dosas --lib solvers_cross_check_to_k16
 # Incremental-fabric guarantees (DESIGN.md §10): the coalesced/dirty-set
 # fill must be bit-identical to the from-scratch fill in both substrates,
-# and zero-rate fault windows must not wedge completion tracking.
+# the link → flows index must match a rebuild and find exactly the
+# union-find components of the dirty links, and zero-rate fault windows
+# must not wedge completion tracking.
 cargo test -q -p simkit --lib coalesced_fill_matches_eager_fill
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
+cargo test -q -p cluster --lib link_index_matches_rebuild_and_union_find
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
 # Topology gate (DESIGN.md §15): the star builder must reproduce the legacy
 # single-switch fill bit-for-bit (so every pre-topology golden stays
