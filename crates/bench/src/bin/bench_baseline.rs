@@ -191,6 +191,7 @@ fn main() {
                 "fills": c.fills,
                 "flows_refilled": c.flows_refilled,
                 "flows_reused": c.flows_reused,
+                "fill_rounds": c.fill_rounds,
             })
         })
         .collect();
@@ -203,8 +204,9 @@ fn main() {
         .iter()
         .map(|p| {
             // At the 10k-host point one full-rescan churn event already
-            // pays two global fills (~minutes of fill work); measure a
-            // single event there and the usual one-tick burst elsewhere.
+            // pays two global fills of 108k flows; measure a single event
+            // there (the full schedule would take tens of seconds for the
+            // same per-event figure) and the usual one-tick burst elsewhere.
             let big = p.hosts() > 2048;
             let (full_ops, reps) = if big {
                 (1, 1)
@@ -249,6 +251,7 @@ fn main() {
                 "fills": c.fills,
                 "flows_refilled": c.flows_refilled,
                 "flows_reused": c.flows_reused,
+                "fill_rounds": c.fill_rounds,
             })
         })
         .collect();

@@ -112,6 +112,7 @@ pub fn incremental_counters(flows: usize) -> NetFillCounters {
         fills: after.fills - before.fills,
         flows_refilled: after.flows_refilled - before.flows_refilled,
         flows_reused: after.flows_reused - before.flows_reused,
+        fill_rounds: after.fill_rounds - before.fill_rounds,
     }
 }
 

@@ -144,9 +144,9 @@ pub fn run(
 /// over a `ticks × ops` schedule under `mode`, best of `reps`. Fabric
 /// construction and the arrival settle are excluded from the timed region.
 /// FullRescan callers pass a reduced schedule: at the 10k-host point every
-/// mutation re-fills all 108k flows, so even one event costs two global
-/// fills — running the full schedule would take minutes without changing
-/// the per-event figure.
+/// mutation re-fills all 108k flows, so one event costs two global fills
+/// (~0.4 s on 2 shared vCPUs) and the full 64-event schedule would cost
+/// tens of seconds without changing the per-event figure.
 pub fn churn_event_secs(
     p: &TopoPoint,
     mode: FillMode,
@@ -178,6 +178,7 @@ pub fn incremental_counters(p: &TopoPoint, ticks: usize) -> NetFillCounters {
         fills: after.fills - before.fills,
         flows_refilled: after.flows_refilled - before.flows_refilled,
         flows_reused: after.flows_reused - before.flows_reused,
+        fill_rounds: after.fill_rounds - before.fill_rounds,
     }
 }
 

@@ -28,7 +28,17 @@
 //! a dirty link — flows in untouched components keep their previous rates,
 //! which is exact because progressive filling is separable per component.
 //! A debug assertion cross-checks every incremental fill against a
-//! from-scratch fill of all components.
+//! from-scratch fill of all components by the round-by-round reference
+//! fill.
+//!
+//! The fill itself costs what its component costs. It maps the component's
+//! route links to compact local slots (nothing per fill is sized by the
+//! topology), and after the first round it touches only what a round's
+//! freezes changed: the counts and residuals of the links those flows
+//! used, a min-queue of per-link shares for the growth limit and the
+//! binding links, and a cap-sorted cursor for the cap-bound flows. Every
+//! floating-point operation matches the round-by-round reference, so the
+//! rates are bit-identical to it.
 //!
 //! The fabric keeps a persistent **link → flows index**: an ordered set of
 //! `(link id, flow id, the flow's first link)` entries, one per link of
@@ -140,6 +150,53 @@ pub struct NetFillCounters {
     /// Flows whose previous rate was reused because their component was
     /// untouched.
     pub flows_reused: u64,
+    /// Progressive-fill rounds (grow → freeze steps) run, summed over all
+    /// passes: the fill's deterministic work count.
+    pub fill_rounds: u64,
+}
+
+/// Reusable buffers of [`Fabric::fill_subset`]. A fill addresses its flows
+/// by *local index* (position in the ascending id list) and the links their
+/// routes use by *local slot* (position in the ascending list of those
+/// links), so every buffer is sized by the refilled component, never by
+/// the topology. Only `slot` spans every link id; it holds `u32::MAX`
+/// outside a fill.
+#[derive(Debug, Clone, Default)]
+struct FillScratch {
+    /// Global link id → local slot (`u32::MAX` = not in this fill).
+    slot: Vec<u32>,
+    /// Local slot → global link id, ascending.
+    links: Vec<u32>,
+    /// Per flow: effective cap, assigned rate, frozen flag.
+    caps: Vec<f64>,
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Flow `i`'s route as local slots: `route[route_at[i]..route_at[i + 1]]`.
+    route_at: Vec<u32>,
+    route: Vec<u32>,
+    /// Per link: effective capacity, residual, unfrozen members.
+    eff: Vec<f64>,
+    res: Vec<f64>,
+    cnt: Vec<u32>,
+    /// Link `l`'s member flows, ascending:
+    /// `members[member_at[l]..member_at[l + 1]]`.
+    member_at: Vec<u32>,
+    members: Vec<u32>,
+    /// Flows unfrozen after the first round, ascending by cap; flows before
+    /// `cap_cursor` are all frozen.
+    by_cap: Vec<u32>,
+    cap_cursor: usize,
+    /// Flows frozen in the current round.
+    newly: Vec<u32>,
+    /// Links whose member set lost a flow this round.
+    touched: Vec<u32>,
+    /// Min-queue of link shares `(res⁺ / cnt bits, link, keyed round)`,
+    /// used from the second round on; an entry is live while its link
+    /// has unfrozen members and `keyed_in[link]` still names its round.
+    heap: BinaryHeap<Reverse<(u64, u32, u64)>>,
+    keyed_in: Vec<u64>,
+    /// Queue entries popped for a look and put back.
+    held: Vec<(u64, u32, u64)>,
 }
 
 /// The cluster interconnect.
@@ -190,6 +247,9 @@ pub struct Fabric {
     /// core id `2·hosts`.
     link_seen: Vec<u64>,
     walk: u64,
+    /// The fill's reusable buffers, allocated by the first fill: a fabric
+    /// that never fills (or waits among many built worlds) pays one word.
+    fill: Option<Box<FillScratch>>,
     /// Min-heap of projected completions `(done_at, generation, id)`.
     /// `done_at` is invariant under [`advance`](Fabric::advance) at constant
     /// rates, so entries stay valid until a fill supersedes them.
@@ -282,6 +342,7 @@ impl Fabric {
             link_flows: BTreeSet::new(),
             link_seen: Vec::new(),
             walk: 0,
+            fill: None,
             heap: BinaryHeap::new(),
             next_gen: 0,
             fill_mode: FillMode::default(),
@@ -740,10 +801,7 @@ impl Fabric {
             self.dirty_links.clear();
             let ids: Vec<FlowId> = self.flows.keys().copied().collect();
             self.counters.flows_refilled += ids.len() as u64;
-            let rates = self.fill_subset(&ids);
-            for (id, rate) in rates {
-                self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
-            }
+            self.fill_subset(&ids);
             return;
         }
 
@@ -751,18 +809,16 @@ impl Fabric {
         self.counters.flows_refilled += refill.len() as u64;
         self.counters.flows_reused += (self.flows.len() - refill.len()) as u64;
 
-        let rates = self.fill_subset(&refill);
-        for (id, rate) in rates {
-            self.flows.get_mut(&id).expect("filled flow exists").rate = rate;
-        }
+        self.fill_subset(&refill);
         self.refresh_heap(&refill);
 
         // Oracle: the incremental result must be bit-identical to deriving
-        // every component from scratch.
+        // every component from scratch with the round-by-round reference
+        // fill.
         #[cfg(debug_assertions)]
         {
             let all: Vec<FlowId> = self.flows.keys().copied().collect();
-            let scratch = self.fill_subset(&all);
+            let (scratch, _) = self.fill_subset_reference(&all);
             for (id, rate) in scratch {
                 let kept = self.flows[&id].rate;
                 debug_assert_eq!(
@@ -846,22 +902,97 @@ impl Fabric {
         }
     }
 
-    /// Progressive filling restricted to `ids`: grow all unfrozen flows at
-    /// one common rate until a link or cap binds; freeze; repeat. Correct as
-    /// long as `ids` is a union of whole components — flows outside `ids`
-    /// then share no link with flows inside, so the restricted residuals
-    /// equal the global ones. Pure: returns the rates without applying them.
+    /// Progressive filling restricted to `ids` (ascending): grow all
+    /// unfrozen flows at one common rate until a link or cap binds; freeze;
+    /// repeat. Sets every listed flow's `rate` and counts the rounds in
+    /// [`NetFillCounters::fill_rounds`]. Correct as long as `ids` is a union
+    /// of whole components — flows outside `ids` then share no link with
+    /// flows inside, so the restricted residuals equal the global ones.
     ///
     /// Hot path: components reach 10⁵ flows on the large fat-tree points,
-    /// so per-round state lives in dense link-indexed arrays instead of
-    /// ordered maps. Every floating-point operation runs in the same order
-    /// as the original map-based formulation — residual subtraction walks
-    /// flows in ascending `FlowId`, the growth limit folds links in
-    /// ascending link id — so the result is bitwise identical (the debug
-    /// oracle and the star proptests pin this).
-    fn fill_subset(&self, ids: &[FlowId]) -> Vec<(FlowId, f64)> {
+    /// so the cost follows the component and what each round changes, not
+    /// the topology or rounds × component. The fill works on compact
+    /// indices ([`FillScratch`]). The first round checks every route once;
+    /// after it:
+    /// - a link's unfrozen count drops as its members freeze, and its
+    ///   residual and share of the growth limit are re-derived only when
+    ///   one of them froze;
+    /// - the growth limit is the smallest share in a min-queue, and the
+    ///   binding links are the queued ones within `2·eps` of the common
+    ///   rate, each tested exactly before its members are visited;
+    /// - cap-bound flows come off a cap-sorted order with a moving cursor.
+    ///
+    /// Every floating-point operation matches the reference — a residual
+    /// is `eff − r₁ − r₂ − …` over its frozen members in ascending
+    /// `FlowId`, and a zero growth limit (whose sign depends on the order
+    /// `min` sees ±0) is folded in ascending link id — so rates and round
+    /// counts are bitwise those of [`Fabric::fill_subset_reference`] (the
+    /// debug oracle and `progressive_fill_matches_round_by_round_reference`
+    /// pin this).
+    fn fill_subset(&mut self, ids: &[FlowId]) {
+        debug_assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "fill ids must be ascending and distinct"
+        );
         if ids.is_empty() {
-            return Vec::new();
+            return;
+        }
+        let mut s = self.fill.take().unwrap_or_default();
+        self.gather(&mut s, ids);
+        self.counters.fill_rounds += s.fill();
+        for (id, &rate) in ids.iter().zip(&s.rate) {
+            self.flows.get_mut(id).expect("filled flow exists").rate = rate;
+        }
+        self.fill = Some(s);
+    }
+
+    /// Load `ids`' caps and routes into `s`, mapping the route links to
+    /// local slots in ascending link id.
+    fn gather(&self, s: &mut FillScratch, ids: &[FlowId]) {
+        if s.slot.is_empty() {
+            s.slot = vec![u32::MAX; self.topo.num_links() + 1];
+        }
+        s.caps.clear();
+        s.route.clear();
+        s.route_at.clear();
+        s.route_at.push(0);
+        s.links.clear();
+        for id in ids {
+            let f = &self.flows[id];
+            s.caps.push(f.eff_cap());
+            for &l in &f.route {
+                let slot = &mut s.slot[l as usize];
+                if *slot == u32::MAX {
+                    *slot = 0; // listed; the real slot is set after the sort
+                    s.links.push(l);
+                }
+            }
+            s.route.extend_from_slice(&f.route);
+            s.route_at.push(s.route.len() as u32);
+        }
+        s.links.sort_unstable();
+        s.eff.clear();
+        for (k, &l) in s.links.iter().enumerate() {
+            s.slot[l as usize] = k as u32;
+            s.eff.push(self.eff_link(l as usize));
+        }
+        for l in &mut s.route {
+            *l = s.slot[*l as usize];
+        }
+        for &l in &s.links {
+            s.slot[l as usize] = u32::MAX;
+        }
+    }
+
+    /// The round-by-round progressive fill `fill_subset` replaced: every
+    /// round re-derives every residual from all frozen flows and re-checks
+    /// every unfrozen flow's whole route, over dense link-indexed arrays.
+    /// Kept as the bitwise reference (debug oracle and proptests); returns
+    /// the rates ascending by id and the number of rounds.
+    #[cfg(any(test, debug_assertions))]
+    fn fill_subset_reference(&self, ids: &[FlowId]) -> (Vec<(FlowId, f64)>, u64) {
+        if ids.is_empty() {
+            return (Vec::new(), 0);
         }
         // Ascending FlowId, so position order == FlowId order below.
         let mut sorted: Vec<FlowId> = ids.to_vec();
@@ -881,9 +1012,11 @@ impl Fabric {
         let n = sorted.len();
         let mut frozen_rate: Vec<Option<f64>> = vec![None; n];
         let mut unfrozen: Vec<usize> = (0..n).collect();
+        let mut rounds = 0;
 
         // Iterations bounded by number of constraints (links + flows + 1).
         while !unfrozen.is_empty() {
+            rounds += 1;
             // Per-link residual capacity and unfrozen-flow count. Residuals
             // are re-derived from scratch each round — frozen rates subtract
             // in FlowId order, keeping the rounding history identical no
@@ -941,11 +1074,277 @@ impl Fabric {
             unfrozen.retain(|&i| frozen_rate[i].is_none());
         }
 
-        sorted
+        let rates = sorted
             .into_iter()
             .zip(frozen_rate)
             .map(|(id, rate)| (id, rate.expect("all flows frozen")))
-            .collect()
+            .collect();
+        (rates, rounds)
+    }
+}
+
+impl FillScratch {
+    /// Flow `i`'s route, as local link slots.
+    fn route_of(&self, i: usize) -> &[u32] {
+        &self.route[self.route_at[i] as usize..self.route_at[i + 1] as usize]
+    }
+
+    /// Link `l`'s member flows, ascending.
+    fn members_of(&self, l: usize) -> &[u32] {
+        &self.members[self.member_at[l] as usize..self.member_at[l + 1] as usize]
+    }
+
+    /// Link `l`'s share of the growth limit, `res⁺ / cnt`; `None` for an
+    /// unconstrained (non-finite) residual.
+    fn share(&self, l: usize) -> Option<f64> {
+        let res = self.res[l];
+        res.is_finite().then(|| res.max(0.0) / self.cnt[l] as f64)
+    }
+
+    /// Does link `l` bind at common rate `r`?
+    fn link_binds(&self, l: usize, r: f64, eps: f64) -> bool {
+        let res = self.res[l];
+        res.is_finite() && self.cnt[l] as f64 * r >= res.max(0.0) - eps
+    }
+
+    /// Is a queue entry for link `l` keyed in round `keyed` current (the
+    /// link has unfrozen members and was not re-keyed since)?
+    fn is_live(&self, l: u32, keyed: u64) -> bool {
+        self.cnt[l as usize] > 0 && self.keyed_in[l as usize] == keyed
+    }
+
+    /// Queue link `l`'s current share, keyed in round `round`.
+    fn push_share(&mut self, l: usize, round: u64) {
+        self.keyed_in[l] = round;
+        if let Some(share) = self.share(l) {
+            // `+ 0.0` folds -0.0 into +0.0: non-negative shares then order
+            // like their bit patterns.
+            let key = (share + 0.0).to_bits();
+            self.heap.push(Reverse((key, l as u32, round)));
+        }
+    }
+
+    /// The growth limit from the share queue: the smallest live share.
+    /// Shares are ≥ 0, so a positive minimum is the same value in any fold
+    /// order. A zero minimum may be +0 or -0 depending on the order, so it
+    /// is folded like the reference: over the zero shares in ascending
+    /// link id (positive shares cannot change a fold that has reached 0).
+    fn queued_limit(&mut self) -> f64 {
+        while let Some(&Reverse((key, l, keyed))) = self.heap.peek() {
+            if !self.is_live(l, keyed) {
+                self.heap.pop();
+                continue;
+            }
+            if key != 0 {
+                return f64::from_bits(key);
+            }
+            self.held.clear();
+            while let Some(&Reverse(e @ (0, l, keyed))) = self.heap.peek() {
+                self.heap.pop();
+                if self.is_live(l, keyed) {
+                    self.held.push(e);
+                }
+            }
+            self.held.sort_unstable_by_key(|e| e.1);
+            let limit = self.held.iter().fold(f64::INFINITY, |limit, e| {
+                limit.min(self.share(e.1 as usize).expect("queued shares are finite"))
+            });
+            self.heap.extend(self.held.drain(..).map(Reverse));
+            return limit;
+        }
+        f64::INFINITY
+    }
+
+    /// Freeze flow `i` this round, unless it already is frozen.
+    fn freeze(&mut self, i: u32) {
+        if !std::mem::replace(&mut self.frozen[i as usize], true) {
+            self.newly.push(i);
+        }
+    }
+
+    /// Run the progressive fill over the gathered flows, leaving each flow's
+    /// rate in `rate`; returns the number of rounds.
+    ///
+    /// The first round has nothing frozen: it folds every link's share in
+    /// ascending link id and checks every route, like the reference. Later
+    /// rounds read the limit and the binding links off a min-queue of link
+    /// shares that is re-keyed only for the links a freeze touched.
+    fn fill(&mut self) -> u64 {
+        let (n, m) = (self.caps.len(), self.links.len());
+        self.cnt.clear();
+        self.cnt.resize(m, 0);
+        for &l in &self.route {
+            self.cnt[l as usize] += 1;
+        }
+        self.res.clear();
+        self.res.extend_from_slice(&self.eff);
+        self.rate.clear();
+        self.rate.resize(n, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(n, false);
+        self.keyed_in.clear();
+        self.keyed_in.resize(m, 0);
+        let mut left = n;
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
+            let (limit, min_cap) = if rounds == 1 {
+                let limit = (0..m)
+                    .filter_map(|l| self.share(l))
+                    .fold(f64::INFINITY, f64::min);
+                let min_cap = self.caps.iter().copied().fold(f64::INFINITY, f64::min);
+                (limit, min_cap)
+            } else {
+                while self
+                    .by_cap
+                    .get(self.cap_cursor)
+                    .is_some_and(|&i| self.frozen[i as usize])
+                {
+                    self.cap_cursor += 1;
+                }
+                let min_cap = self
+                    .by_cap
+                    .get(self.cap_cursor)
+                    .map_or(f64::INFINITY, |&i| self.caps[i as usize]);
+                (self.queued_limit(), min_cap)
+            };
+            let r = limit.min(min_cap);
+
+            // Freeze every flow whose constraint binds at r.
+            let eps = 1e-9 * r.max(1.0);
+            self.newly.clear();
+            if rounds == 1 {
+                // One pass over every route needs neither member lists nor
+                // the cap order.
+                for i in 0..n {
+                    if self.caps[i] <= r + eps
+                        || self
+                            .route_of(i)
+                            .iter()
+                            .any(|&l| self.link_binds(l as usize, r, eps))
+                    {
+                        self.newly.push(i as u32);
+                    }
+                }
+            } else {
+                while let Some(&i) = self.by_cap.get(self.cap_cursor) {
+                    if self.caps[i as usize] > r + eps {
+                        break;
+                    }
+                    self.freeze(i);
+                    self.cap_cursor += 1;
+                }
+                // A binding link's share is at most r + eps (plus rounding,
+                // far below eps), so every binding link is queued at or
+                // below r + 2·eps; test those exactly.
+                let bound = (r + 2.0 * eps).to_bits();
+                self.held.clear();
+                while let Some(&Reverse(e @ (key, l, keyed))) = self.heap.peek() {
+                    if key > bound {
+                        break;
+                    }
+                    self.heap.pop();
+                    if !self.is_live(l, keyed) {
+                        continue;
+                    }
+                    if self.link_binds(l as usize, r, eps) {
+                        for j in self.member_at[l as usize]..self.member_at[l as usize + 1] {
+                            self.freeze(self.members[j as usize]);
+                        }
+                    } else {
+                        self.held.push(e);
+                    }
+                }
+                self.heap.extend(self.held.drain(..).map(Reverse));
+            }
+            // Safety: always make progress.
+            if self.newly.is_empty() {
+                self.newly
+                    .extend((0..n as u32).filter(|&i| !self.frozen[i as usize]));
+            }
+            for &i in &self.newly {
+                let i = i as usize;
+                self.frozen[i] = true;
+                self.rate[i] = self.caps[i].min(r);
+            }
+            left -= self.newly.len();
+            if left == 0 {
+                return rounds;
+            }
+            if rounds == 1 {
+                self.index_members();
+            }
+
+            // Drop the frozen flows from their links' counts, re-derive the
+            // residual of every link that lost one and still has unfrozen
+            // members, and re-key its share.
+            self.touched.clear();
+            for k in 0..self.newly.len() {
+                let i = self.newly[k] as usize;
+                for j in self.route_at[i]..self.route_at[i + 1] {
+                    let l = self.route[j as usize] as usize;
+                    self.cnt[l] -= 1;
+                    if std::mem::replace(&mut self.keyed_in[l], rounds) != rounds {
+                        self.touched.push(l as u32);
+                    }
+                }
+            }
+            for k in 0..self.touched.len() {
+                let l = self.touched[k] as usize;
+                if self.cnt[l] == 0 {
+                    continue;
+                }
+                let mut res = self.eff[l];
+                for &i in self.members_of(l) {
+                    if self.frozen[i as usize] {
+                        res -= self.rate[i as usize];
+                    }
+                }
+                self.res[l] = res;
+                if rounds > 1 {
+                    self.push_share(l, rounds);
+                }
+            }
+            if rounds == 1 {
+                self.heap.clear();
+                for l in 0..m {
+                    if self.cnt[l] > 0 {
+                        self.push_share(l, rounds);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Build the per-link member lists (ascending flow index, by filling
+    /// each link's range from its end with the flows in descending order)
+    /// and the cap order of the still-unfrozen flows. Runs after the first
+    /// round, while `cnt` still holds every link's full member count.
+    fn index_members(&mut self) {
+        let m = self.links.len();
+        self.member_at.clear();
+        let mut end = 0;
+        for l in 0..m {
+            end += self.cnt[l];
+            self.member_at.push(end);
+        }
+        self.member_at.push(end);
+        self.members.clear();
+        self.members.resize(self.route.len(), 0);
+        for i in (0..self.caps.len()).rev() {
+            for j in self.route_at[i]..self.route_at[i + 1] {
+                let l = self.route[j as usize] as usize;
+                self.member_at[l] -= 1;
+                self.members[self.member_at[l] as usize] = i as u32;
+            }
+        }
+        self.by_cap.clear();
+        self.by_cap
+            .extend((0..self.caps.len() as u32).filter(|&i| !self.frozen[i as usize]));
+        let caps = &self.caps;
+        self.by_cap
+            .sort_unstable_by(|&a, &b| caps[a as usize].total_cmp(&caps[b as usize]));
+        self.cap_cursor = 0;
     }
 }
 
@@ -1280,6 +1679,44 @@ mod tests {
         // FullRescan paid one pass per mutation; incremental paid one total.
         assert_eq!(full.fill_counters().fills, pairs.len() as u64);
         assert_eq!(inc.fill_counters().fills, 1);
+    }
+
+    /// The fill's share queue yields the growth limit the reference folds
+    /// over every link in ascending link id, signed zeros included: a zero
+    /// minimum is re-folded over the zero shares in link order. Stale
+    /// entries (re-keyed links, links without unfrozen members) are skipped
+    /// and a look leaves the queue intact.
+    #[test]
+    fn queued_limit_matches_the_link_order_fold() {
+        let cases: [&[f64]; 5] = [
+            &[5.0, -0.0, 3.0, 0.0, -0.0, 7.5],
+            &[0.0, -0.0, 0.0, 1.0],
+            &[-0.0, 0.0, -0.0, 2.0],
+            &[4.0, 1.5, 9.0, -3.0, 6.0],
+            &[8.0, f64::INFINITY, 2.5, 1.0],
+        ];
+        for res in cases {
+            let m = res.len();
+            let mut s = FillScratch {
+                res: res.to_vec(),
+                cnt: vec![2; m],
+                keyed_in: vec![0; m],
+                ..FillScratch::default()
+            };
+            for l in 0..m {
+                s.push_share(l, 1);
+            }
+            s.res[0] = 0.5;
+            s.push_share(0, 2);
+            s.cnt[m - 1] = 0;
+            let want = (0..m)
+                .filter(|&l| s.cnt[l] > 0)
+                .filter_map(|l| s.share(l))
+                .fold(f64::INFINITY, f64::min);
+            for _ in 0..2 {
+                assert_eq!(s.queued_limit().to_bits(), want.to_bits(), "{res:?}");
+            }
+        }
     }
 }
 
@@ -1667,7 +2104,8 @@ mod proptests {
     /// - the pending refill set equals the union-find components of the
     ///   dirty links;
     /// - the fill counters advance exactly as union-find discovery would
-    ///   count them, churn is counted like the FullRescan twin's, and
+    ///   count them (rounds as the reference fill of those components
+    ///   counts them), churn is counted like the FullRescan twin's, and
     ///   every rate (read on a copy, so coalescing is untouched) matches
     ///   the twin bit for bit.
     #[test]
@@ -1704,7 +2142,11 @@ mod proptests {
             let mut want = inc.fill_counters();
             for (kind, s, d, bytes, x, victim) in ops {
                 let (s, d) = (s % hosts, d % hosts);
-                let pending = inc.dirty.then(|| (union_find_refill(&inc), inc.flows.len()));
+                let pending = inc.dirty.then(|| {
+                    let refill = union_find_refill(&inc);
+                    let rounds = inc.fill_subset_reference(&refill).1;
+                    (refill, inc.flows.len(), rounds)
+                });
                 let fills_before = inc.fill_counters().fills;
                 match kind {
                     0 if s != d => {
@@ -1744,8 +2186,9 @@ mod proptests {
                 // before it (every mutator flushes before it mutates).
                 let got = inc.fill_counters();
                 if got.fills != fills_before {
-                    let (refill, flows) = pending.expect("a fill implies pending churn");
+                    let (refill, flows, rounds) = pending.expect("a fill implies pending churn");
                     want.fills += 1;
+                    want.fill_rounds += rounds;
                     want.flows_refilled += refill.len() as u64;
                     want.flows_reused += (flows - refill.len()) as u64;
                 }
@@ -1836,5 +2279,93 @@ mod proptests {
                 }
             }
         });
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The compact-indexed progressive fill against the round-by-round
+        /// reference it replaced: after random churn on star (uncapped and
+        /// capped core), tree:2 and fat-tree:4 fabrics, filling all flows,
+        /// one flow, and a random subset gives every rate bit for bit and
+        /// the same number of rounds. The churn mixes jitter caps,
+        /// duplicate policy caps, caps equal to a fair share (`eps` ties),
+        /// link factor 0 and offline nodes (zero residuals, signed zeros),
+        /// and fan-outs that put many flows on one link.
+        #[test]
+        fn progressive_fill_matches_round_by_round_reference(
+            // Op encoding: (kind, s, d, x, victim); kind 0 start, 1 fan-out
+            // of `victim % 12 + 2` flows from `s`, 2 cancel, 3 set_flow_cap,
+            // 4 set_link_factor, 5 set_node_online.
+            ops in collection::vec(
+                (0u8..6, 0usize..16, 0usize..16, 0usize..8, 0usize..64), 1..40),
+            shape in 0u8..4,
+            jitter in 0u8..2,
+            subset in 0u64..=u64::MAX,
+            bw in 10.0f64..200.0,
+        ) {
+            let (topo, switch) = match shape {
+                0 => (Topology::star(8), None),
+                1 => (Topology::star(8), Some(2.9 * bw)),
+                2 => (Topology::tree(8, 2), None),
+                _ => (Topology::fat_tree(4, 16), None),
+            };
+            let hosts = topo.hosts();
+            let jitter = (jitter == 1).then_some((0.925 * bw, bw));
+            let mut f = Fabric::with_topology(topo, bw, switch, SimSpan::ZERO, jitter,
+                RngFactory::new(53).stream("reference"));
+            // Fair shares of a host link (ties with the common rate), plus
+            // arbitrary and lifted caps; drawn from a short list so several
+            // flows share one.
+            let caps = [bw / 2.0, bw / 3.0, bw / 4.0, bw / 8.0,
+                        0.17 * bw, 0.45 * bw, 0.9 * bw, f64::INFINITY];
+            let factors = [0.0, 0.25, 0.5, 1.0];
+            let now = SimTime::ZERO;
+            let mut live: Vec<FlowId> = Vec::new();
+            for (kind, s, d, x, victim) in ops {
+                let (s, d) = (s % hosts, d % hosts);
+                match kind {
+                    0 if s != d => live.push(f.start_flow(now, NodeId(s), NodeId(d), 1e6)),
+                    1 => {
+                        for k in 0..victim % 12 + 2 {
+                            let d = (s + 1 + (d + k) % (hosts - 1)) % hosts;
+                            live.push(f.start_flow(now, NodeId(s), NodeId(d), 1e6));
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        f.cancel_flow(now, live.remove(victim % live.len()));
+                    }
+                    3 if !live.is_empty() => {
+                        f.set_flow_cap(now, live[victim % live.len()], caps[x]);
+                    }
+                    4 => f.set_link_factor(now, NodeId(s), factors[x % 4]),
+                    5 => f.set_node_online(now, NodeId(s), x >= 2),
+                    _ => {}
+                }
+            }
+            prop_assume!(!live.is_empty());
+            let all: Vec<FlowId> = f.flows.keys().copied().collect();
+            let one = vec![all[subset as usize % all.len()]];
+            let some: Vec<FlowId> = all
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| subset >> (i % 64) & 1 == 1)
+                .map(|(_, &id)| id)
+                .collect();
+            for ids in [all, one, some] {
+                let (want, want_rounds) = f.fill_subset_reference(&ids);
+                let mut g = f.clone();
+                let before = g.fill_counters().fill_rounds;
+                g.fill_subset(&ids);
+                prop_assert_eq!(g.fill_counters().fill_rounds - before, want_rounds);
+                for (id, rate) in want {
+                    let got = g.flows[&id].rate;
+                    prop_assert_eq!(got.to_bits(), rate.to_bits(),
+                        "flow {:?}: fill {} vs reference {}", id, got, rate);
+                }
+                prop_assert!(g.fill.as_ref().is_none_or(|f| f.slot.iter().all(|&s| s == u32::MAX)),
+                    "the link -> slot map must be cleared after a fill");
+            }
+        }
     }
 }

@@ -352,6 +352,7 @@ impl Driver {
                 w.io.net_ticks_suppressed + w.io.net_ticks_deduped,
             );
             r.add("fabric", "fills", Label::None, nfc.fills);
+            r.add("fabric", "fill_rounds", Label::None, nfc.fill_rounds);
             r.add("fabric", "churn_ops", Label::None, nfc.churn_ops);
             r.add("fabric", "flows_refilled", Label::None, nfc.flows_refilled);
             r.add("fabric", "flows_reused", Label::None, nfc.flows_reused);

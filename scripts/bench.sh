@@ -10,8 +10,8 @@
 # bench_baseline emits the same measurements into BENCH_simulator.json
 # (schema v8, including the multi-tenant scenario suite of
 # crates/bench/src/scenarios.rs and the fat-tree fill-scaling points of
-# DESIGN.md §15 — the 10k-host topology point makes the baseline refresh
-# take several extra minutes).
+# DESIGN.md §15 — the 10k-host topology point holds 108k flows in
+# flight).
 #
 #   scripts/bench.sh            # everything (criterion suites are slow)
 #   scripts/bench.sh baseline   # just refresh BENCH_simulator.json

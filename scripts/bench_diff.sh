@@ -48,6 +48,9 @@ def ratio(sec, key, old, new):
     print(f"  {key:42} {old:12.6f} -> {new:12.6f}  x{r:6.3f}{flag}")
 
 def counter(sec, key, old, new):
+    if old is None:
+        print(f"  {key:42} {'(new)':>12} -> {new:<12}")
+        return
     if old != new:
         failures.append(f"{sec}/{key}: counter {old} -> {new}")
         print(f"  {key:42} {old:>12} -> {new:<12}  <-- COUNTER DRIFT")
@@ -63,19 +66,20 @@ def points(section, key_field, time_keys, counter_keys=()):
         for t in time_keys:
             ratio(section, f"{k}.{t}", old_pts[k][t], new_pts[k][t])
         for c in counter_keys:
-            counter(section, f"{k}.{c}", old_pts[k][c], new_pts[k][c])
+            counter(section, f"{k}.{c}", old_pts[k].get(c), new_pts[k][c])
 
 if committed["schema"] != fresh["schema"]:
     print(f"schema changed: {committed['schema']} -> {fresh['schema']}")
 
 points("driver", "label", ["secs"], ["events", "events_cancelled"])
 points("fabric_churn", "flows", ["full_rescan_secs", "incremental_secs"],
-       ["churn_ops", "fills", "flows_refilled", "flows_reused"])
+       ["churn_ops", "fills", "flows_refilled", "flows_reused",
+        "fill_rounds"])
 points("topology", "hosts",
        ["incremental_fill_secs_per_churn_event",
         "full_rescan_secs_per_churn_event"],
        ["flows_in_flight", "churn_ops", "fills",
-        "flows_refilled", "flows_reused"])
+        "flows_refilled", "flows_reused", "fill_rounds"])
 points("scenarios", "name", ["secs"], ["events"])
 
 print("[policies]")

@@ -43,11 +43,15 @@ cargo test -q --test policy_arena
 cargo test -q -p dosas --lib solvers_cross_check_to_k16
 # Incremental-fabric guarantees (DESIGN.md §10): the coalesced/dirty-set
 # fill must be bit-identical to the from-scratch fill in both substrates,
-# the link → flows index must match a rebuild and find exactly the
-# union-find components of the dirty links, and zero-rate fault windows
-# must not wedge completion tracking.
+# the compact-indexed progressive fill must reproduce the round-by-round
+# reference fill bit for bit (rates and round counts; its share queue must
+# fold a zero growth limit in link order), the link → flows index must
+# match a rebuild and find exactly the union-find components of the dirty
+# links, and zero-rate fault windows must not wedge completion tracking.
 cargo test -q -p simkit --lib coalesced_fill_matches_eager_fill
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
+cargo test -q -p cluster --lib progressive_fill_matches_round_by_round_reference
+cargo test -q -p cluster --lib queued_limit_matches_the_link_order_fold
 cargo test -q -p cluster --lib link_index_matches_rebuild_and_union_find
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
 # Topology gate (DESIGN.md §15): the star builder must reproduce the legacy
