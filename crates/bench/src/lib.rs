@@ -11,9 +11,9 @@ pub mod fabric_churn;
 pub mod plot;
 pub mod policy_matrix;
 pub mod report;
-pub mod scenarios;
 pub mod topology_churn;
 
+pub use dosas::scenarios;
 pub use experiments::*;
 pub use report::{write_csv, Table};
 

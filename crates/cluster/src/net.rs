@@ -40,9 +40,24 @@
 //! floating-point operation matches the round-by-round reference, so the
 //! rates are bit-identical to it.
 //!
+//! **Flow table.** Flows live in a slab addressed by slot. A flow's cold fields
+//! (endpoints, size, caps, route, heap generation) sit in one
+//! `Option<Flow>` per slot; the two fields every time step touches,
+//! bytes left and current rate, sit in two dense `f64` arrays. A vacant
+//! slot reads `0.0` in both, so [`Fabric::advance`] is one branch-free pass
+//! over two contiguous arrays that leaves vacant slots at `0.0`. Vacant
+//! slots are reused lowest first, so the slab is as long as the peak
+//! number of flows in flight. Everything inside a fill (the link index,
+//! the dirty-component walk, gathering caps and routes, writing rates
+//! back, the completion heap) addresses flows by slot; an ordered
+//! `FlowId` → slot map serves only the public per-flow entry points and
+//! the ascending-`FlowId` full scans. Fills still see their flows in
+//! ascending `FlowId` order and completions are reported in it, so the
+//! slab changes no result.
+//!
 //! The fabric keeps a persistent **link → flows index**: an ordered set of
-//! `(link id, flow id, the flow's first link)` entries, one per link of
-//! every live flow's route, so each link's flows form one range in
+//! `(link id, flow id, the flow's first link, its slot)` entries, one per
+//! link of every live flow's route, so each link's flows form one range in
 //! ascending `FlowId` order. A flow's entries are inserted when it starts
 //! and removed when it completes or is cancelled. An ordered set keeps the
 //! index's memory proportional to the flows in flight; one list per link
@@ -54,11 +69,13 @@
 //! [`Fabric::rx_utilization`]) from the node's access link alone.
 //!
 //! Completion queries are O(log n): each fill pushes projected completion
-//! times into a min-heap of `(time, generation, id)` entries; entries
+//! times into a min-heap of `(time, generation, slot)` entries; entries
 //! superseded by a newer fill or orphaned by flow removal are lazily
-//! discarded at the heap top. [`Fabric::take_completed`] harvests its
-//! candidates from the same heap (the live entries due within 2 ns of
-//! `now`) instead of scanning every flow.
+//! discarded at the heap top. Generations are unique, so the slot never
+//! decides the order, and an entry whose slot was vacated or reused never
+//! matches the slot's current generation. [`Fabric::take_completed`]
+//! harvests its candidates from the same heap (the live entries due within
+//! 2 ns of `now`) instead of scanning every flow.
 //!
 //! [`FillMode::FullRescan`] disables all of this (eager per-mutation global
 //! fills and linear-scan completion queries and harvests, the
@@ -80,13 +97,14 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(pub u64);
 
+/// A flow's cold fields; its hot progress state (`remaining`, `rate`)
+/// lives in the [`Fabric`]'s dense per-slot arrays.
 #[derive(Debug, Clone)]
 struct Flow {
+    id: FlowId,
     src: NodeId,
     dst: NodeId,
-    remaining: f64,
     total: f64,
-    rate: f64,
     cap: f64,
     /// Externally imposed rate ceiling (bytes/second), `f64::INFINITY`
     /// when uncapped. Set by contention-control policies via
@@ -224,7 +242,20 @@ pub struct Fabric {
     latency: SimSpan,
     jitter: Option<(f64, f64)>,
     rng: ChaCha8Rng,
-    flows: BTreeMap<FlowId, Flow>,
+    /// The flow table, a slab: slot `s` holds a live flow's cold fields
+    /// (`None` = vacant).
+    flows: Vec<Option<Flow>>,
+    /// Per slot: bytes left and current rate, dense so `advance` is one
+    /// pass over two contiguous arrays. Vacant slots hold `0.0` in both,
+    /// which that pass leaves at `0.0`.
+    remaining: Vec<f64>,
+    rate: Vec<f64>,
+    /// Vacant slots, lowest first: the slab is as long as the peak number
+    /// of flows in flight, never the number of flows ever started.
+    free: BinaryHeap<Reverse<u32>>,
+    /// `FlowId` → slot of every live flow: the public entry points' lookup
+    /// and the ascending-`FlowId` order of full scans.
+    slot_of: BTreeMap<FlowId, u32>,
     last_update: SimTime,
     epoch: u64,
     next_id: u64,
@@ -235,11 +266,11 @@ pub struct Fabric {
     /// interior/switch ≥ 2·hosts), possibly repeated. Bounds the
     /// incremental pass to their components.
     dirty_links: Vec<usize>,
-    /// Link → flows index: `(link id, flow, the flow's first link)` for
-    /// every link of every live flow's route, so a link's flows are one
-    /// contiguous range, ascending by `FlowId`. Its size follows the flows
-    /// in flight, not the topology.
-    link_flows: BTreeSet<(u32, FlowId, u32)>,
+    /// Link → flows index: `(link id, flow, the flow's first link, its
+    /// slot)` for every link of every live flow's route, so a link's flows
+    /// are one contiguous range, ascending by `FlowId`. Its size follows
+    /// the flows in flight, not the topology.
+    link_flows: BTreeSet<(u32, FlowId, u32, u32)>,
     /// Per-link visit stamp of the dirty-component walk: a link has been
     /// reached in the current walk iff its stamp equals `walk`. Allocated
     /// by the first walk (a fabric that never fills never pays for it),
@@ -250,10 +281,13 @@ pub struct Fabric {
     /// The fill's reusable buffers, allocated by the first fill: a fabric
     /// that never fills (or waits among many built worlds) pays one word.
     fill: Option<Box<FillScratch>>,
-    /// Min-heap of projected completions `(done_at, generation, id)`.
+    /// Min-heap of projected completions `(done_at, generation, slot)`.
     /// `done_at` is invariant under [`advance`](Fabric::advance) at constant
-    /// rates, so entries stay valid until a fill supersedes them.
-    heap: BinaryHeap<Reverse<(SimTime, u64, FlowId)>>,
+    /// rates, so entries stay valid until a fill supersedes them. An entry
+    /// is live while its slot's flow carries its generation; generations
+    /// are unique, so the slot never decides the order and a vacated or
+    /// reused slot never matches a stale entry.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     next_gen: u64,
     fill_mode: FillMode,
     counters: NetFillCounters,
@@ -332,7 +366,11 @@ impl Fabric {
             latency,
             jitter,
             rng,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
+            free: BinaryHeap::new(),
+            slot_of: BTreeMap::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
             next_id: 0,
@@ -361,7 +399,7 @@ impl Fabric {
     }
 
     pub fn active_flows(&self) -> usize {
-        self.flows.len()
+        self.slot_of.len()
     }
 
     /// Total bytes delivered by completed flows.
@@ -481,31 +519,79 @@ impl Fabric {
         self.dirty_links.extend(route.iter().map(|&l| l as usize));
     }
 
-    /// Index a new flow under every link of its route.
-    fn index(&mut self, id: FlowId, route: &[u32]) {
+    /// Index flow `f` in `slot` under every link of its route.
+    fn index(&mut self, f: &Flow, slot: u32) {
+        let first = f.route[0];
         self.link_flows
-            .extend(route.iter().map(|&link| (link, id, route[0])));
+            .extend(f.route.iter().map(|&link| (link, f.id, first, slot)));
     }
 
     /// Drop a removed flow from the index entries of its route.
-    fn unindex(&mut self, id: FlowId, route: &[u32]) {
-        for &link in route {
-            let indexed = self.link_flows.remove(&(link, id, route[0]));
-            debug_assert!(indexed, "flow {id:?} missing from link {link}");
+    fn unindex(&mut self, f: &Flow, slot: u32) {
+        for &link in &f.route {
+            let indexed = self.link_flows.remove(&(link, f.id, f.route[0], slot));
+            debug_assert!(indexed, "flow {:?} missing from link {link}", f.id);
         }
     }
 
     /// The live flows whose route uses `link`, ascending, each with its
-    /// first route link.
+    /// first route link and its slot.
     fn on_link(
-        index: &BTreeSet<(u32, FlowId, u32)>,
+        index: &BTreeSet<(u32, FlowId, u32, u32)>,
         link: usize,
-    ) -> impl Iterator<Item = (FlowId, u32)> + '_ {
+    ) -> impl Iterator<Item = (FlowId, u32, u32)> + '_ {
         let link = link as u32;
         index
-            .range((link, FlowId(0), 0)..)
+            .range((link, FlowId(0), 0, 0)..)
             .take_while(move |e| e.0 == link)
-            .map(|&(_, id, first)| (id, first))
+            .map(|&(_, id, first, slot)| (id, first, slot))
+    }
+
+    /// The live flow in `slot`.
+    fn flow(flows: &[Option<Flow>], slot: u32) -> &Flow {
+        flows[slot as usize]
+            .as_ref()
+            .expect("slot holds a live flow")
+    }
+
+    /// Is heap entry `(_, gen, slot)` live: does its slot's flow carry its
+    /// generation?
+    fn entry_live(flows: &[Option<Flow>], gen: u64, slot: u32) -> bool {
+        flows[slot as usize].as_ref().is_some_and(|f| f.gen == gen)
+    }
+
+    /// Put `flow` in the lowest vacant slot (or a new one) with `bytes`
+    /// left and rate 0, and index it.
+    fn occupy(&mut self, flow: Flow, bytes: f64) {
+        let slot = match self.free.pop() {
+            Some(Reverse(slot)) => {
+                self.remaining[slot as usize] = bytes;
+                slot
+            }
+            None => {
+                self.flows.push(None);
+                self.remaining.push(bytes);
+                self.rate.push(0.0);
+                (self.flows.len() - 1) as u32
+            }
+        };
+        self.slot_of.insert(flow.id, slot);
+        self.index(&flow, slot);
+        self.flows[slot as usize] = Some(flow);
+    }
+
+    /// Take the flow out of `slot` and unindex it, returning it with its
+    /// remaining bytes. The slot reads `0.0` / `0.0` and is free for reuse.
+    fn vacate(&mut self, slot: u32) -> (Flow, f64) {
+        let s = slot as usize;
+        let f = self.flows[s]
+            .take()
+            .expect("vacated slot holds a live flow");
+        self.slot_of.remove(&f.id);
+        self.unindex(&f, slot);
+        self.rate[s] = 0.0;
+        self.free.push(Reverse(slot));
+        (f, std::mem::take(&mut self.remaining[s]))
     }
 
     /// Start a transfer of `bytes` from `src` to `dst`.
@@ -529,21 +615,17 @@ impl Fabric {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         self.mark_route_dirty(&route);
-        self.index(id, &route);
-        self.flows.insert(
+        let flow = Flow {
             id,
-            Flow {
-                src,
-                dst,
-                remaining: bytes,
-                total: bytes,
-                rate: 0.0,
-                cap,
-                policy_cap: f64::INFINITY,
-                gen: u64::MAX,
-                route,
-            },
-        );
+            src,
+            dst,
+            total: bytes,
+            cap,
+            policy_cap: f64::INFINITY,
+            gen: u64::MAX,
+            route,
+        };
+        self.occupy(flow, bytes);
         self.bump();
         id
     }
@@ -559,14 +641,16 @@ impl Fabric {
             cap > 0.0,
             "flow caps must be positive ({cap}); a zero cap would stall forever"
         );
-        let Some(f) = self.flows.get(&id) else {
+        let Some(&slot) = self.slot_of.get(&id) else {
             return false;
         };
-        if f.policy_cap == cap {
+        if Self::flow(&self.flows, slot).policy_cap == cap {
             return true;
         }
         self.advance(now);
-        let f = self.flows.get_mut(&id).expect("flow checked above");
+        let f = self.flows[slot as usize]
+            .as_mut()
+            .expect("flow checked above");
         f.policy_cap = cap;
         let route = f.route.clone();
         self.mark_route_dirty(&route);
@@ -576,23 +660,24 @@ impl Fabric {
 
     /// Current external rate cap of flow `id` (`f64::INFINITY` = uncapped).
     pub fn flow_cap(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.policy_cap)
+        let &slot = self.slot_of.get(&id)?;
+        Some(Self::flow(&self.flows, slot).policy_cap)
     }
 
     /// Cancel an in-flight transfer (e.g. its request was re-planned).
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> Option<CancelledFlow> {
         self.advance(now);
-        let f = self.flows.remove(&id)?;
+        let &slot = self.slot_of.get(&id)?;
+        let (f, remaining) = self.vacate(slot);
         self.mark_route_dirty(&f.route);
-        self.unindex(id, &f.route);
         self.bump();
         let progress = if f.total > 0.0 {
-            ((f.total - f.remaining) / f.total).clamp(0.0, 1.0)
+            ((f.total - remaining) / f.total).clamp(0.0, 1.0)
         } else {
             1.0
         };
         Some(CancelledFlow {
-            remaining_bytes: f.remaining.max(0.0),
+            remaining_bytes: remaining.max(0.0),
             progress,
         })
     }
@@ -608,8 +693,8 @@ impl Fabric {
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
             self.ensure_rates();
-            for f in self.flows.values_mut() {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            for (left, &rate) in self.remaining.iter_mut().zip(&self.rate) {
+                *left = (*left - rate * dt).max(0.0);
             }
         }
         self.last_update = now;
@@ -624,13 +709,11 @@ impl Fabric {
         if self.fill_mode == FillMode::FullRescan {
             return self.next_completion_scan();
         }
-        while let Some(&Reverse((t, gen, id))) = self.heap.peek() {
-            match self.flows.get(&id) {
-                Some(f) if f.gen == gen => return Some(t),
-                _ => {
-                    self.heap.pop();
-                }
+        while let Some(&Reverse((t, gen, slot))) = self.heap.peek() {
+            if Self::entry_live(&self.flows, gen, slot) {
+                return Some(t);
             }
+            self.heap.pop();
         }
         None
     }
@@ -638,11 +721,12 @@ impl Fabric {
     /// Pre-incremental linear completion scan (FullRescan mode).
     fn next_completion_scan(&self) -> Option<SimTime> {
         let mut best: Option<f64> = None;
-        for f in self.flows.values() {
-            if f.rate > 0.0 {
-                let dt = f.remaining / f.rate;
+        for &slot in self.slot_of.values() {
+            let (remaining, rate) = (self.remaining[slot as usize], self.rate[slot as usize]);
+            if rate > 0.0 {
+                let dt = remaining / rate;
                 best = Some(best.map_or(dt, |b: f64| b.min(dt)));
-            } else if f.remaining <= 0.0 {
+            } else if remaining <= 0.0 {
                 best = Some(0.0);
             }
         }
@@ -665,11 +749,10 @@ impl Fabric {
             done
         };
         let mut out = Vec::with_capacity(done.len());
-        for id in done {
-            let f = self.flows.remove(&id).expect("listed flow exists");
+        for (id, slot) in done {
+            let (f, _) = self.vacate(slot);
             self.bytes_delivered += f.total;
             self.mark_route_dirty(&f.route);
-            self.unindex(id, &f.route);
             out.push(FlowCompletion {
                 id,
                 src: f.src,
@@ -683,19 +766,21 @@ impl Fabric {
         out
     }
 
-    /// Has `f` finished? Less than half a nanosecond of transfer at its
-    /// current rate is left (or nothing at all).
-    fn is_finished(f: &Flow) -> bool {
-        f.remaining <= f.rate * 0.5e-9 || f.remaining <= 0.0
+    /// Has the flow in `slot` finished? Less than half a nanosecond of
+    /// transfer at its current rate is left (or nothing at all).
+    fn is_finished(&self, slot: u32) -> bool {
+        let (remaining, rate) = (self.remaining[slot as usize], self.rate[slot as usize]);
+        remaining <= rate * 0.5e-9 || remaining <= 0.0
     }
 
-    /// Finished flows by a scan of every flow (FullRescan mode, and the
-    /// debug oracle of [`Fabric::finished_from_heap`]).
-    fn finished_by_scan(&self) -> Vec<FlowId> {
-        self.flows
+    /// Finished flows with their slots, ascending, by a scan of every flow
+    /// (FullRescan mode, and the debug oracle of
+    /// [`Fabric::finished_from_heap`]).
+    fn finished_by_scan(&self) -> Vec<(FlowId, u32)> {
+        self.slot_of
             .iter()
-            .filter(|(_, f)| Self::is_finished(f))
-            .map(|(&id, _)| id)
+            .filter(|&(_, &slot)| self.is_finished(slot))
+            .map(|(&id, &slot)| (id, slot))
             .collect()
     }
 
@@ -705,19 +790,22 @@ impl Fabric {
     /// allows half a nanosecond), so only those entries are examined.
     /// Stale entries among them are dropped; live ones whose flow is not
     /// finished yet go back on the heap unchanged.
-    fn finished_from_heap(&mut self, now: SimTime) -> Vec<FlowId> {
+    fn finished_from_heap(&mut self, now: SimTime) -> Vec<(FlowId, u32)> {
         let horizon = now + SimSpan::from_nanos(2);
         let mut done = Vec::new();
         let mut pending = Vec::new();
-        while let Some(&Reverse(entry @ (t, gen, id))) = self.heap.peek() {
+        while let Some(&Reverse(entry @ (t, gen, slot))) = self.heap.peek() {
             if t > horizon {
                 break;
             }
             self.heap.pop();
-            match self.flows.get(&id) {
-                Some(f) if f.gen == gen && Self::is_finished(f) => done.push(id),
-                Some(f) if f.gen == gen => pending.push(Reverse(entry)),
-                _ => {}
+            if !Self::entry_live(&self.flows, gen, slot) {
+                continue;
+            }
+            if self.is_finished(slot) {
+                done.push((Self::flow(&self.flows, slot).id, slot));
+            } else {
+                pending.push(Reverse(entry));
             }
         }
         self.heap.extend(pending);
@@ -725,10 +813,18 @@ impl Fabric {
         done
     }
 
+    /// Bytes left of flow `id`, as of the last [`Fabric::advance`].
+    #[cfg(test)]
+    fn remaining_of(&self, id: FlowId) -> Option<f64> {
+        let &slot = self.slot_of.get(&id)?;
+        Some(self.remaining[slot as usize])
+    }
+
     /// Current rate of flow `id` (bytes/second).
     pub fn rate_of(&mut self, id: FlowId) -> Option<f64> {
         self.ensure_rates();
-        self.flows.get(&id).map(|f| f.rate)
+        let &slot = self.slot_of.get(&id)?;
+        Some(self.rate[slot as usize])
     }
 
     /// Observable outbound state of node `n`: aggregate flow rate
@@ -774,7 +870,7 @@ impl Fabric {
     /// end at `rx(dst)`, and no other route touches either link.
     fn rate_sum(&self, link: usize) -> f64 {
         Self::on_link(&self.link_flows, link)
-            .map(|(id, _)| self.flows[&id].rate)
+            .map(|(_, _, slot)| self.rate[slot as usize])
             .sum()
     }
 
@@ -799,15 +895,15 @@ impl Fabric {
         self.counters.fills += 1;
         if self.fill_mode == FillMode::FullRescan {
             self.dirty_links.clear();
-            let ids: Vec<FlowId> = self.flows.keys().copied().collect();
-            self.counters.flows_refilled += ids.len() as u64;
-            self.fill_subset(&ids);
+            let slots: Vec<u32> = self.slot_of.values().copied().collect();
+            self.counters.flows_refilled += slots.len() as u64;
+            self.fill_subset(&slots);
             return;
         }
 
         let refill = self.dirty_component_flows();
         self.counters.flows_refilled += refill.len() as u64;
-        self.counters.flows_reused += (self.flows.len() - refill.len()) as u64;
+        self.counters.flows_reused += (self.slot_of.len() - refill.len()) as u64;
 
         self.fill_subset(&refill);
         self.refresh_heap(&refill);
@@ -817,29 +913,30 @@ impl Fabric {
         // fill.
         #[cfg(debug_assertions)]
         {
-            let all: Vec<FlowId> = self.flows.keys().copied().collect();
+            let all: Vec<u32> = self.slot_of.values().copied().collect();
             let (scratch, _) = self.fill_subset_reference(&all);
-            for (id, rate) in scratch {
-                let kept = self.flows[&id].rate;
+            for (&slot, rate) in all.iter().zip(scratch) {
+                let kept = self.rate[slot as usize];
                 debug_assert_eq!(
                     kept.to_bits(),
                     rate.to_bits(),
-                    "incremental fill diverged from scratch fill for {id:?}: \
-                     kept {kept}, scratch {rate}"
+                    "incremental fill diverged from scratch fill for {:?}: \
+                     kept {kept}, scratch {rate}",
+                    Self::flow(&self.flows, slot).id
                 );
             }
         }
     }
 
-    /// Every flow in a connected component (flows transitively coupled
-    /// through shared links) that contains a dirty link, ascending by
-    /// `FlowId`; consumes `dirty_links`. A depth-first walk over the
-    /// link → flows index from the dirty links. A flow reached through any
-    /// link pulls in its first link; reached through its first link (which
-    /// every walk through the flow therefore visits, exactly once), it is
-    /// listed and pulls in the rest of its route. So each refilled flow's
-    /// route is read once.
-    fn dirty_component_flows(&mut self) -> Vec<FlowId> {
+    /// The slots of every flow in a connected component (flows
+    /// transitively coupled through shared links) that contains a dirty
+    /// link, ascending by `FlowId`; consumes `dirty_links`. A depth-first
+    /// walk over the link → flows index from the dirty links. A flow
+    /// reached through any link pulls in its first link; reached through
+    /// its first link (which every walk through the flow therefore visits,
+    /// exactly once), it is listed and pulls in the rest of its route. So
+    /// each refilled flow's route is read once.
+    fn dirty_component_flows(&mut self) -> Vec<u32> {
         if self.link_seen.is_empty() {
             self.link_seen = vec![0; self.topo.num_links() + 1];
         }
@@ -852,10 +949,10 @@ impl Fabric {
         stack.retain(|&l| first_visit(&mut self.link_seen, l));
         let mut refill = Vec::new();
         while let Some(l) = stack.pop() {
-            for (id, first) in Self::on_link(&self.link_flows, l) {
+            for (id, first, slot) in Self::on_link(&self.link_flows, l) {
                 let route: &[u32] = if first as usize == l {
-                    refill.push(id);
-                    &self.flows[&id].route
+                    refill.push((id, slot));
+                    &Self::flow(&self.flows, slot).route
                 } else {
                     std::slice::from_ref(&first)
                 };
@@ -867,34 +964,38 @@ impl Fabric {
             }
         }
         refill.sort_unstable();
-        refill
+        refill.into_iter().map(|(_, slot)| slot).collect()
     }
 
-    /// Push fresh completion projections for `refilled` flows; entries of
-    /// untouched flows remain valid because their rates did not change.
-    fn refresh_heap(&mut self, refilled: &[FlowId]) {
+    /// Push fresh completion projections for the `refilled` slots' flows;
+    /// entries of untouched flows remain valid because their rates did not
+    /// change.
+    fn refresh_heap(&mut self, refilled: &[u32]) {
         // Compact when stale entries dominate, keeping pops O(log live).
-        if self.heap.len() > 2 * self.flows.len() + 64 {
+        if self.heap.len() > 2 * self.slot_of.len() + 64 {
             let flows = &self.flows;
             let kept: Vec<_> = self
                 .heap
                 .drain()
-                .filter(|Reverse((_, gen, id))| flows.get(id).is_some_and(|f| f.gen == *gen))
+                .filter(|&Reverse((_, gen, slot))| Self::entry_live(flows, gen, slot))
                 .collect();
             self.heap = BinaryHeap::from(kept);
         }
-        for &id in refilled {
-            let f = self.flows.get_mut(&id).expect("refilled flow exists");
-            let done_at = if f.rate > 0.0 {
-                Some(self.last_update + SimSpan::from_secs_f64(f.remaining / f.rate))
-            } else if f.remaining <= 0.0 {
+        for &slot in refilled {
+            let (remaining, rate) = (self.remaining[slot as usize], self.rate[slot as usize]);
+            let done_at = if rate > 0.0 {
+                Some(self.last_update + SimSpan::from_secs_f64(remaining / rate))
+            } else if remaining <= 0.0 {
                 Some(self.last_update)
             } else {
                 None // starved: never completes at current rates
             };
+            let f = self.flows[slot as usize]
+                .as_mut()
+                .expect("refilled slot holds a live flow");
             if let Some(t) = done_at {
                 f.gen = self.next_gen;
-                self.heap.push(Reverse((t, self.next_gen, id)));
+                self.heap.push(Reverse((t, self.next_gen, slot)));
                 self.next_gen += 1;
             } else {
                 f.gen = u64::MAX;
@@ -902,11 +1003,12 @@ impl Fabric {
         }
     }
 
-    /// Progressive filling restricted to `ids` (ascending): grow all
+    /// Progressive filling restricted to the flows in `slots` (ascending by
+    /// `FlowId`): grow all
     /// unfrozen flows at one common rate until a link or cap binds; freeze;
     /// repeat. Sets every listed flow's `rate` and counts the rounds in
-    /// [`NetFillCounters::fill_rounds`]. Correct as long as `ids` is a union
-    /// of whole components — flows outside `ids` then share no link with
+    /// [`NetFillCounters::fill_rounds`]. Correct as long as `slots` is a
+    /// union of whole components — flows outside it then share no link with
     /// flows inside, so the restricted residuals equal the global ones.
     ///
     /// Hot path: components reach 10⁵ flows on the large fat-tree points,
@@ -929,26 +1031,33 @@ impl Fabric {
     /// counts are bitwise those of [`Fabric::fill_subset_reference`] (the
     /// debug oracle and `progressive_fill_matches_round_by_round_reference`
     /// pin this).
-    fn fill_subset(&mut self, ids: &[FlowId]) {
+    fn fill_subset(&mut self, slots: &[u32]) {
         debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "fill ids must be ascending and distinct"
+            self.ascending(slots),
+            "fill flows must be ascending and distinct"
         );
-        if ids.is_empty() {
+        if slots.is_empty() {
             return;
         }
         let mut s = self.fill.take().unwrap_or_default();
-        self.gather(&mut s, ids);
+        self.gather(&mut s, slots);
         self.counters.fill_rounds += s.fill();
-        for (id, &rate) in ids.iter().zip(&s.rate) {
-            self.flows.get_mut(id).expect("filled flow exists").rate = rate;
+        for (&slot, &rate) in slots.iter().zip(&s.rate) {
+            self.rate[slot as usize] = rate;
         }
         self.fill = Some(s);
     }
 
-    /// Load `ids`' caps and routes into `s`, mapping the route links to
-    /// local slots in ascending link id.
-    fn gather(&self, s: &mut FillScratch, ids: &[FlowId]) {
+    /// Are the flows in `slots` listed in strictly ascending `FlowId`?
+    fn ascending(&self, slots: &[u32]) -> bool {
+        slots
+            .windows(2)
+            .all(|w| Self::flow(&self.flows, w[0]).id < Self::flow(&self.flows, w[1]).id)
+    }
+
+    /// Load the caps and routes of the flows in `slots` into `s`, mapping
+    /// the route links to local slots in ascending link id.
+    fn gather(&self, s: &mut FillScratch, slots: &[u32]) {
         if s.slot.is_empty() {
             s.slot = vec![u32::MAX; self.topo.num_links() + 1];
         }
@@ -957,8 +1066,8 @@ impl Fabric {
         s.route_at.clear();
         s.route_at.push(0);
         s.links.clear();
-        for id in ids {
-            let f = &self.flows[id];
+        for &slot in slots {
+            let f = Self::flow(&self.flows, slot);
             s.caps.push(f.eff_cap());
             for &l in &f.route {
                 let slot = &mut s.slot[l as usize];
@@ -987,17 +1096,22 @@ impl Fabric {
     /// The round-by-round progressive fill `fill_subset` replaced: every
     /// round re-derives every residual from all frozen flows and re-checks
     /// every unfrozen flow's whole route, over dense link-indexed arrays.
-    /// Kept as the bitwise reference (debug oracle and proptests); returns
-    /// the rates ascending by id and the number of rounds.
+    /// Kept as the bitwise reference (debug oracle and proptests). Takes
+    /// the flows' slots ascending by `FlowId`; returns their rates in that
+    /// order and the number of rounds.
     #[cfg(any(test, debug_assertions))]
-    fn fill_subset_reference(&self, ids: &[FlowId]) -> (Vec<(FlowId, f64)>, u64) {
-        if ids.is_empty() {
+    fn fill_subset_reference(&self, slots: &[u32]) -> (Vec<f64>, u64) {
+        assert!(
+            self.ascending(slots),
+            "reference fill takes ascending flows"
+        );
+        if slots.is_empty() {
             return (Vec::new(), 0);
         }
-        // Ascending FlowId, so position order == FlowId order below.
-        let mut sorted: Vec<FlowId> = ids.to_vec();
-        sorted.sort_unstable();
-        let flows: Vec<&Flow> = sorted.iter().map(|id| &self.flows[id]).collect();
+        let flows: Vec<&Flow> = slots
+            .iter()
+            .map(|&slot| Self::flow(&self.flows, slot))
+            .collect();
         let caps: Vec<f64> = flows.iter().map(|f| f.eff_cap()).collect();
         let mut touched: Vec<usize> = flows
             .iter()
@@ -1009,7 +1123,7 @@ impl Fabric {
         let mut res: Vec<f64> = vec![0.0; width];
         let mut cnt: Vec<u32> = vec![0; width];
 
-        let n = sorted.len();
+        let n = flows.len();
         let mut frozen_rate: Vec<Option<f64>> = vec![None; n];
         let mut unfrozen: Vec<usize> = (0..n).collect();
         let mut rounds = 0;
@@ -1074,10 +1188,9 @@ impl Fabric {
             unfrozen.retain(|&i| frozen_rate[i].is_none());
         }
 
-        let rates = sorted
+        let rates = frozen_rate
             .into_iter()
-            .zip(frozen_rate)
-            .map(|(id, rate)| (id, rate.expect("all flows frozen")))
+            .map(|rate| rate.expect("all flows frozen"))
             .collect();
         (rates, rounds)
     }
@@ -1536,7 +1649,7 @@ mod tests {
         f.advance(SimTime::from_secs_f64(9.0));
         // 100 bytes were left at the stall (t=1): 200 - 100·1s/2 flows...
         // flows split rx(1) before the stall: stalled ran at 50 for 1s.
-        assert!((f.flows[&stalled].remaining - 150.0).abs() < 1e-9);
+        assert!((f.remaining_of(stalled).unwrap() - 150.0).abs() < 1e-9);
         // Restore: 150 bytes at 100 B/s from t=9 → done at 10.5.
         f.set_link_factor(SimTime::from_secs_f64(9.0), n(0), 1.0);
         let t = f.next_completion().unwrap();
@@ -1679,6 +1792,51 @@ mod tests {
         // FullRescan paid one pass per mutation; incremental paid one total.
         assert_eq!(full.fill_counters().fills, pairs.len() as u64);
         assert_eq!(inc.fill_counters().fills, 1);
+    }
+
+    /// A cancelled flow's slot goes to the next flow, while the cancelled
+    /// flow's earlier completion entry is still in the heap: the reused
+    /// slot must not adopt that stale projection.
+    #[test]
+    fn reused_slot_ignores_the_stale_completion_entry() {
+        let mut f = fabric(2, 100.0);
+        let a = f.start_flow(SimTime::ZERO, n(0), n(1), 100.0);
+        assert_eq!(f.next_completion(), Some(SimTime::from_secs_f64(1.0)));
+        let slot = f.slot_of[&a];
+        f.cancel_flow(SimTime::ZERO, a);
+        let b = f.start_flow(SimTime::ZERO, n(0), n(1), 500.0);
+        assert_eq!(f.slot_of[&b], slot, "the freed slot is reused");
+        assert_eq!(f.next_completion(), Some(SimTime::from_secs_f64(5.0)));
+        assert!(f.take_completed(SimTime::from_secs_f64(1.0)).is_empty());
+        // Completion frees the slot too; the next flow lands there.
+        let t = f.next_completion().unwrap();
+        assert_eq!(f.take_completed(t)[0].id, b);
+        let c = f.start_flow(t, n(1), n(0), 200.0);
+        assert_eq!(f.slot_of[&c], slot);
+        assert_eq!(f.next_completion(), Some(SimTime::from_secs_f64(7.0)));
+    }
+
+    /// Vacant slots are reused lowest first, so the slab is as long as the
+    /// peak number of flows in flight, not the number ever started.
+    #[test]
+    fn slab_stays_at_peak_concurrency() {
+        let mut f = fabric(16, 100.0);
+        let (mut started, mut live) = (0usize, 0usize);
+        let mut now = SimTime::ZERO;
+        while started < 10_000 {
+            if live < 8 {
+                let (src, dst) = (started % 8, 8 + started * 3 % 8);
+                let bytes = 100.0 + (started % 7) as f64 * 10.0;
+                f.start_flow(now, n(src), n(dst), bytes);
+                started += 1;
+                live += 1;
+            } else {
+                now = f.next_completion().expect("unfaulted flows complete");
+                live -= f.take_completed(now).len();
+            }
+            assert!(f.flows.len() <= 8, "slab grew to {}", f.flows.len());
+        }
+        assert_eq!(f.active_flows(), live);
     }
 
     /// The fill's share queue yields the growth limit the reference folds
@@ -2069,31 +2227,111 @@ mod proptests {
         }
     }
 
-    /// The flows a fill of `f` must refill, derived from scratch: union
-    /// every flow's route into link components, then keep the flows whose
-    /// component holds a dirty link.
-    fn union_find_refill(f: &Fabric) -> Vec<FlowId> {
+    /// Every live flow with its slot, ascending by `FlowId`.
+    fn live_flows(f: &Fabric) -> impl Iterator<Item = (u32, &Flow)> {
+        f.slot_of
+            .values()
+            .map(|&slot| (slot, Fabric::flow(&f.flows, slot)))
+    }
+
+    /// The slots of the flows a fill of `f` must refill (ascending by
+    /// `FlowId`), derived from scratch: union every flow's route into link
+    /// components, then keep the flows whose component holds a dirty link.
+    fn union_find_refill(f: &Fabric) -> Vec<u32> {
         let mut uf = UnionFind::new(f.topo.num_links() + 1);
-        for fl in f.flows.values() {
+        for (_, fl) in live_flows(f) {
             let first = fl.route[0] as usize;
             for &link in &fl.route {
                 uf.union(first, link as usize);
             }
         }
         let roots: BTreeSet<usize> = f.dirty_links.iter().map(|&l| uf.find(l)).collect();
-        f.flows
-            .iter()
+        live_flows(f)
             .filter(|(_, fl)| roots.contains(&uf.find(fl.route[0] as usize)))
-            .map(|(&id, _)| id)
+            .map(|(slot, _)| slot)
             .collect()
     }
 
     /// The link → flows index rebuilt from the flow table.
-    fn rebuilt_index(f: &Fabric) -> BTreeSet<(u32, FlowId, u32)> {
-        f.flows
-            .iter()
-            .flat_map(|(&id, fl)| fl.route.iter().map(move |&link| (link, id, fl.route[0])))
+    fn rebuilt_index(f: &Fabric) -> BTreeSet<(u32, FlowId, u32, u32)> {
+        live_flows(f)
+            .flat_map(|(slot, fl)| {
+                fl.route
+                    .iter()
+                    .map(move |&link| (link, fl.id, fl.route[0], slot))
+            })
             .collect()
+    }
+
+    /// The flow slab's invariants: every `FlowId` → slot entry names a
+    /// live slot carrying that id; the free list holds exactly the vacant
+    /// slots, each reading `0.0` bytes left at rate `0.0`; and every live
+    /// flow's generation has heap entries, all naming its slot.
+    fn slab_invariants(f: &Fabric) -> Result<(), String> {
+        let len = f.flows.len();
+        if f.remaining.len() != len || f.rate.len() != len {
+            return Err(format!(
+                "slab arrays disagree: {len} slots, {} remaining, {} rates",
+                f.remaining.len(),
+                f.rate.len()
+            ));
+        }
+        for (&id, &slot) in &f.slot_of {
+            if f.flows
+                .get(slot as usize)
+                .and_then(Option::as_ref)
+                .map(|fl| fl.id)
+                != Some(id)
+            {
+                return Err(format!(
+                    "{id:?} maps to slot {slot}, which does not carry it"
+                ));
+            }
+        }
+        let vacant: Vec<u32> = (0..len as u32)
+            .filter(|&slot| f.flows[slot as usize].is_none())
+            .collect();
+        if len - vacant.len() != f.slot_of.len() {
+            return Err(format!(
+                "{} live slots, {} mapped ids",
+                len - vacant.len(),
+                f.slot_of.len()
+            ));
+        }
+        let mut free: Vec<u32> = f.free.iter().map(|r| r.0).collect();
+        free.sort_unstable();
+        if free != vacant {
+            return Err(format!(
+                "free list {free:?} is not the vacant slots {vacant:?}"
+            ));
+        }
+        for &slot in &vacant {
+            let (left, rate) = (f.remaining[slot as usize], f.rate[slot as usize]);
+            if left != 0.0 || rate != 0.0 {
+                return Err(format!(
+                    "vacant slot {slot} holds remaining {left}, rate {rate}"
+                ));
+            }
+        }
+        let mut unseen: BTreeMap<u64, u32> = live_flows(f)
+            .filter(|(_, fl)| fl.gen != u64::MAX)
+            .map(|(slot, fl)| (fl.gen, slot))
+            .collect();
+        let live_gens = unseen.clone();
+        for &Reverse((_, gen, slot)) in f.heap.iter() {
+            if let Some(&owner) = live_gens.get(&gen) {
+                if owner != slot {
+                    return Err(format!(
+                        "heap entry of generation {gen} names slot {slot}, not {owner}"
+                    ));
+                }
+                unseen.remove(&gen);
+            }
+        }
+        if !unseen.is_empty() {
+            return Err(format!("live generations without a heap entry: {unseen:?}"));
+        }
+        Ok(())
     }
 
     /// The link → flows index against its definition, under random
@@ -2107,7 +2345,10 @@ mod proptests {
     ///   count them (rounds as the reference fill of those components
     ///   counts them), churn is counted like the FullRescan twin's, and
     ///   every rate (read on a copy, so coalescing is untouched) matches
-    ///   the twin bit for bit.
+    ///   the twin bit for bit;
+    /// - the flow slab keeps its invariants ([`slab_invariants`]), and
+    ///   every flow's bytes left (and a cancelled flow's
+    ///   `remaining_bytes`) match a per-flow shadow bit for bit.
     #[test]
     fn link_index_matches_rebuild_and_union_find() {
         // Op encoding: kind 0 start, 1 cancel, 2 set_flow_cap,
@@ -2140,12 +2381,15 @@ mod proptests {
             let mut now = SimTime::ZERO;
             let mut live: Vec<FlowId> = Vec::new();
             let mut want = inc.fill_counters();
+            // Every live flow's bytes left, advanced by the per-flow
+            // expression over the rates a fill derived for the interval.
+            let mut shadow: BTreeMap<FlowId, f64> = BTreeMap::new();
             for (kind, s, d, bytes, x, victim) in ops {
                 let (s, d) = (s % hosts, d % hosts);
                 let pending = inc.dirty.then(|| {
                     let refill = union_find_refill(&inc);
                     let rounds = inc.fill_subset_reference(&refill).1;
-                    (refill, inc.flows.len(), rounds)
+                    (refill, inc.active_flows(), rounds)
                 });
                 let fills_before = inc.fill_counters().fills;
                 match kind {
@@ -2153,10 +2397,15 @@ mod proptests {
                         let id = inc.start_flow(now, NodeId(s), NodeId(d), bytes);
                         prop_assert_eq!(full.start_flow(now, NodeId(s), NodeId(d), bytes), id);
                         live.push(id);
+                        shadow.insert(id, bytes);
                     }
                     1 if !live.is_empty() => {
                         let id = live.remove(victim % live.len());
-                        prop_assert_eq!(inc.cancel_flow(now, id), full.cancel_flow(now, id));
+                        let cancelled = inc.cancel_flow(now, id);
+                        prop_assert_eq!(cancelled, full.cancel_flow(now, id));
+                        let want = shadow.remove(&id).expect("live flow").max(0.0);
+                        prop_assert_eq!(cancelled.expect("live flow").remaining_bytes.to_bits(),
+                                        want.to_bits(), "flow {:?} cancelled", id);
                     }
                     2 if !live.is_empty() => {
                         let id = live[victim % live.len()];
@@ -2174,10 +2423,22 @@ mod proptests {
                         full.set_node_online(now, NodeId(s), x >= 0.3);
                     }
                     5 => {
+                        let before = now;
                         now += SimSpan::from_secs_f64(x * 0.2);
+                        let dt = (now - before).as_secs_f64();
+                        if dt > 0.0 {
+                            let mut probe = inc.clone();
+                            for (&id, left) in &mut shadow {
+                                let rate = probe.rate_of(id).expect("live flow");
+                                *left = (*left - rate * dt).max(0.0);
+                            }
+                        }
                         let done = inc.take_completed(now);
                         prop_assert_eq!(&done, &full.take_completed(now));
                         live.retain(|id| !done.iter().any(|c| c.id == *id));
+                        for c in &done {
+                            shadow.remove(&c.id);
+                        }
                     }
                     _ => {}
                 }
@@ -2198,6 +2459,14 @@ mod proptests {
                 prop_assert_eq!(&inc.link_flows, &rebuilt_index(&inc));
                 prop_assert_eq!(&full.link_flows, &rebuilt_index(&full));
                 prop_assert_eq!(inc.clone().dirty_component_flows(), union_find_refill(&inc));
+                slab_invariants(&inc)?;
+                slab_invariants(&full)?;
+                for (&id, &left) in &shadow {
+                    for g in [&inc, &full] {
+                        prop_assert_eq!(g.remaining_of(id).map(f64::to_bits), Some(left.to_bits()),
+                            "flow {:?} remaining bytes", id);
+                    }
+                }
 
                 let mut probe = inc.clone();
                 for &id in &live {
@@ -2274,7 +2543,7 @@ mod proptests {
                 for &(a, b) in &live {
                     let (ra, rb) = (inc.rate_of(a).unwrap(), full.rate_of(b).unwrap());
                     prop_assert_eq!(ra.to_bits(), rb.to_bits(), "rate diverged");
-                    let (ma, mb) = (inc.flows[&a].remaining, full.flows[&b].remaining);
+                    let (ma, mb) = (inc.remaining_of(a).unwrap(), full.remaining_of(b).unwrap());
                     prop_assert_eq!(ma.to_bits(), mb.to_bits(), "remaining diverged");
                 }
             }
@@ -2344,9 +2613,9 @@ mod proptests {
                 }
             }
             prop_assume!(!live.is_empty());
-            let all: Vec<FlowId> = f.flows.keys().copied().collect();
+            let all: Vec<u32> = f.slot_of.values().copied().collect();
             let one = vec![all[subset as usize % all.len()]];
-            let some: Vec<FlowId> = all
+            let some: Vec<u32> = all
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| subset >> (i % 64) & 1 == 1)
@@ -2358,10 +2627,10 @@ mod proptests {
                 let before = g.fill_counters().fill_rounds;
                 g.fill_subset(&ids);
                 prop_assert_eq!(g.fill_counters().fill_rounds - before, want_rounds);
-                for (id, rate) in want {
-                    let got = g.flows[&id].rate;
+                for (&slot, rate) in ids.iter().zip(want) {
+                    let got = g.rate[slot as usize];
                     prop_assert_eq!(got.to_bits(), rate.to_bits(),
-                        "flow {:?}: fill {} vs reference {}", id, got, rate);
+                        "slot {}: fill {} vs reference {}", slot, got, rate);
                 }
                 prop_assert!(g.fill.as_ref().is_none_or(|f| f.slot.iter().all(|&s| s == u32::MAX)),
                     "the link -> slot map must be cleared after a fill");

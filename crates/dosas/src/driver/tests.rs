@@ -871,3 +871,75 @@ fn fault_state_matches_the_whole_plan_after_every_transition() {
         sim.run();
     });
 }
+
+/// Conservation at the end of a run: every world a golden snapshot pins —
+/// the scheme × seed goldens, each scenario-suite world and the pinned
+/// policy cells — runs to completion and leaves nothing in flight: no
+/// fabric flow, no projected flow completion, no task on any CPU's
+/// processor-sharing resource and no queued disk request.
+#[test]
+fn every_golden_world_ends_drained() {
+    let drained = |name: &str, cfg: DriverConfig, w: &Workload| {
+        let driver = Driver::new(cfg, w);
+        let seeds = driver.seed_plan();
+        let mut sim = Simulation::new(driver);
+        seeds.apply(sim.scheduler());
+        sim.run();
+        let cluster = &mut sim.world.cluster;
+        assert_eq!(cluster.fabric.active_flows(), 0, "{name}: flows in flight");
+        assert_eq!(
+            cluster.fabric.next_completion(),
+            None,
+            "{name}: a flow completion is still projected"
+        );
+        for (n, cpu) in cluster.cpus.iter_mut().enumerate() {
+            assert_eq!(cpu.load(), 0, "{name}: node {n} has CPU tasks left");
+            assert_eq!(cpu.next_completion(), None, "{name}: node {n} CPU");
+        }
+        for (s, disk) in cluster.disks.iter().enumerate() {
+            assert!(
+                !disk.busy() && disk.queue_len() == 0,
+                "{name}: storage ordinal {s} has disk requests left"
+            );
+        }
+    };
+
+    // tests/golden_metrics.rs: four schemes × three seeds on the paper's
+    // testbed.
+    let w = Workload::uniform_active(6, 1, mb(64), "gaussian2d", gaussian_params());
+    let schemes = [
+        ("ts", Scheme::Traditional),
+        ("as", Scheme::ActiveStorage),
+        ("dosas", Scheme::dosas_default()),
+        ("dosas-partial", Scheme::dosas_partial()),
+    ];
+    for (key, scheme) in schemes {
+        for seed in 1..=3 {
+            let name = format!("{key}-seed{seed}");
+            let cfg = DriverConfig {
+                cluster: ClusterConfig::discfarm(),
+                seed,
+                ..det_config(scheme.clone())
+            };
+            drained(&name, cfg, &w);
+        }
+    }
+    // tests/tenant_scenarios.rs: the scenario suite.
+    for s in crate::scenarios::all() {
+        drained(s.name, s.cfg.clone(), &s.workload);
+    }
+    // tests/policy_arena.rs: the pinned (policy, scenario) cells.
+    for (policy, scenario) in [
+        ("restripe", "straggler"),
+        ("token-bucket", "two-tenant-slo"),
+        ("pi", "fault-storm"),
+    ] {
+        let s = crate::scenarios::by_name(scenario).expect("pinned scenario exists");
+        let mut cfg = s.cfg.clone();
+        let Scheme::Dosas(dosas) = &mut cfg.scheme else {
+            panic!("{scenario}: scenarios run DOSAS");
+        };
+        dosas.policy = crate::policy::PolicyConfig::by_name(policy).expect("pinned policy exists");
+        drained(&format!("{policy} x {scenario}"), cfg, &s.workload);
+    }
+}

@@ -40,6 +40,8 @@
 //!   produces [`driver::RunMetrics`].
 //! * [`workload`] — workload generators for the paper's experiments and the
 //!   multi-application mixes of Figure 1.
+//! * [`scenarios`] — the named multi-tenant / elastic / failure-rich
+//!   scenario suite.
 
 pub mod asc;
 pub mod config;
@@ -48,6 +50,7 @@ pub mod driver;
 pub mod estimator;
 pub mod policy;
 pub mod runtime;
+pub mod scenarios;
 pub mod schedule;
 pub mod workload;
 

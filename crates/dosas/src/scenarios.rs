@@ -2,11 +2,15 @@
 //!
 //! Each scenario is a fully deterministic `(DriverConfig, Workload)` pair:
 //! fixed seed, deterministic cluster (no jitter), and a fault plan that is
-//! either empty or rebuilt from a fixed seed. They back three consumers:
+//! either empty or rebuilt from a fixed seed. They back four consumers:
 //!
 //! * `tests/tenant_scenarios.rs` — every scenario has a golden
 //!   `RunMetrics` snapshot (`tests/golden/scenario-<name>.json`) that every
 //!   run must reproduce bit-for-bit.
+//! * the driver's own tests — every scenario world must end drained (no
+//!   flow, task or completion left), which needs the world's internals, so
+//!   the suite lives in this crate; `bench` re-exports it as
+//!   `bench::scenarios`.
 //! * the `scenario` binary — run one by name and print its metrics.
 //! * `bench_baseline` — the scenario sweep is a benchmark point, so the
 //!   cost of the failure-rich multi-tenant regime is tracked over time.
@@ -15,9 +19,9 @@
 //! storage ordinals are positions in the storage pool, with plain node id
 //! `compute_nodes + ordinal`.
 
+use crate::config::TenantSlo;
+use crate::{DriverConfig, OpRates, OpenLoopSpec, Scheme, Workload};
 use cluster::{ClusterConfig, TopologySpec};
-use dosas::config::TenantSlo;
-use dosas::{DriverConfig, OpRates, OpenLoopSpec, Scheme, Workload};
 use kernels::KernelParams;
 use simkit::{FaultKind, FaultPlan, RngFactory, SimSpan, SimTime};
 
@@ -34,15 +38,15 @@ pub struct Scenario {
 
 impl Scenario {
     /// Run to completion.
-    pub fn run(&self) -> dosas::RunMetrics {
-        dosas::Driver::run(self.cfg.clone(), &self.workload)
+    pub fn run(&self) -> crate::RunMetrics {
+        crate::Driver::run(self.cfg.clone(), &self.workload)
     }
 
     /// Like [`run`](Self::run), but also returns the per-subsystem
     /// wall-clock dispatch profile (`scenario --obs-out` ships it as
     /// `profile.json`).
-    pub fn run_profiled(&self) -> (dosas::RunMetrics, simkit::ExecProfile) {
-        dosas::Driver::run_profiled(self.cfg.clone(), &self.workload, dosas::ExecMode::Serial)
+    pub fn run_profiled(&self) -> (crate::RunMetrics, simkit::ExecProfile) {
+        crate::Driver::run_profiled(self.cfg.clone(), &self.workload, crate::ExecMode::Serial)
     }
 }
 

@@ -9,7 +9,7 @@
 # 64-server and 4096-rank / 256-server scales, events/sec);
 # bench_baseline emits the same measurements into BENCH_simulator.json
 # (schema v8, including the multi-tenant scenario suite of
-# crates/bench/src/scenarios.rs and the fat-tree fill-scaling points of
+# crates/dosas/src/scenarios.rs and the fat-tree fill-scaling points of
 # DESIGN.md §15 — the 10k-host topology point holds 108k flows in
 # flight).
 #

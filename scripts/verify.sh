@@ -48,11 +48,20 @@ cargo test -q -p dosas --lib solvers_cross_check_to_k16
 # fold a zero growth limit in link order), the link → flows index must
 # match a rebuild and find exactly the union-find components of the dirty
 # links, and zero-rate fault windows must not wedge completion tracking.
+# The slot-addressed flow slab must keep its invariants: every FlowId maps
+# to a live slot carrying it, vacant slots read 0 bytes at rate 0 and sit
+# in the free list, heap entries name their flow's slot, bytes left match
+# a per-flow shadow; a reused slot ignores its stale completion entry, and
+# lowest-first reuse keeps the slab at peak concurrency. Every world a
+# golden pins must end drained (no flow, projected completion or task).
 cargo test -q -p simkit --lib coalesced_fill_matches_eager_fill
 cargo test -q -p cluster --lib incremental_fill_matches_full_rescan
 cargo test -q -p cluster --lib progressive_fill_matches_round_by_round_reference
 cargo test -q -p cluster --lib queued_limit_matches_the_link_order_fold
 cargo test -q -p cluster --lib link_index_matches_rebuild_and_union_find
+cargo test -q -p cluster --lib reused_slot_ignores_the_stale_completion_entry
+cargo test -q -p cluster --lib slab_stays_at_peak_concurrency
+cargo test -q -p dosas --lib every_golden_world_ends_drained
 cargo test -q --test failure_scenarios zero_rate_stall_window_completes_after_recovery
 # Topology gate (DESIGN.md §15): the star builder must reproduce the legacy
 # single-switch fill bit-for-bit (so every pre-topology golden stays
