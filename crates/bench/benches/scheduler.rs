@@ -9,12 +9,13 @@ use std::hint::black_box;
 const MIB: f64 = 1024.0 * 1024.0;
 
 fn queue(k: usize) -> Vec<dosas::Item> {
-    let model = CostModel::new(118.0 * MIB, 1.0, 1.0, OpRates::paper());
+    let rates = OpRates::paper();
+    let model = CostModel::new(118.0 * MIB, 1.0, 1.0, &rates);
     let reqs: Vec<RequestSpec> = (0..k)
         .map(|i| {
             let mb = 128.0 + (i % 8) as f64 * 112.0; // 128..1024 MB mix
             let op = if i % 3 == 0 { "sum" } else { "gaussian2d" };
-            RequestSpec::new(mb * MIB, op)
+            RequestSpec::new(mb * MIB, rates.id(op).expect("paper op"))
         })
         .collect();
     model.items(&reqs)
@@ -47,13 +48,15 @@ fn bench_solvers(c: &mut Criterion) {
     g.finish();
 }
 
+/// One CE decision round over a borrowed snapshot, into a reused policy —
+/// the way the driver runs it (no allocation once the buffers have grown).
 fn bench_policy_generation(c: &mut Criterion) {
-    use dosas::estimator::{ContentionEstimator, SystemProbe};
+    use dosas::estimator::{ContentionEstimator, Policy, SystemProbe};
     use dosas::SolverKind;
     use pfs::{QueueSnapshot, RequestId, SnapshotRow};
     use simkit::SimTime;
 
-    let estimator = ContentionEstimator::new(
+    let mut estimator = ContentionEstimator::new(
         SolverKind::Threshold,
         OpRates::paper(),
         1.0,
@@ -61,30 +64,22 @@ fn bench_policy_generation(c: &mut Criterion) {
         118.0 * MIB,
         16.0 * 1024.0 * MIB,
     );
+    let gaussian = estimator.rates().id("gaussian2d");
+    let mut policy = Policy::default();
     let mut g = c.benchmark_group("ce_policy");
     for k in [8usize, 64] {
-        let rows: Vec<SnapshotRow> = (0..k)
-            .map(|i| SnapshotRow {
+        let mut queue = QueueSnapshot::default();
+        queue.refill(
+            SimTime::ZERO,
+            (0..k).map(|i| SnapshotRow {
                 id: RequestId(i as u64),
-                op: Some("gaussian2d".into()),
+                op: gaussian,
                 bytes: 128.0 * MIB,
-            })
-            .collect();
-        let probe = SystemProbe {
-            queue: QueueSnapshot {
-                n: k,
-                k,
-                d_active: 128.0 * MIB * k as f64,
-                d_normal: 0.0,
-                requests: rows,
-                taken_at: SimTime::ZERO,
-            },
-            background_cpu: 0.0,
-            background_memory: 0.0,
-            bandwidth_estimate: None,
-        };
+            }),
+        );
+        let probe = SystemProbe::of(&queue);
         g.bench_with_input(BenchmarkId::from_parameter(k), &probe, |b, probe| {
-            b.iter(|| estimator.generate_policy(SimTime::ZERO, black_box(probe)))
+            b.iter(|| estimator.generate_policy(SimTime::ZERO, black_box(probe), &mut policy))
         });
     }
     g.finish();

@@ -63,7 +63,8 @@ pub fn ablate_solvers() -> Table {
         &["k", "solver", "micros", "time_vs_optimal"],
     );
     let rates = OpRates::paper();
-    let model = CostModel::new(118.0 * MIB, 1.0, 1.0, rates);
+    let gaussian = rates.id("gaussian2d").expect("paper op");
+    let model = CostModel::new(118.0 * MIB, 1.0, 1.0, &rates);
     for &k in &[4usize, 8, 16, 32, 64] {
         // Deterministic pseudo-random sizes in [64, 1024] MB.
         let rng = RngFactory::new(99).stream_indexed("solver-ablate", k as u64);
@@ -72,7 +73,7 @@ pub fn ablate_solvers() -> Table {
         let reqs: Vec<RequestSpec> = (0..k)
             .map(|_| {
                 let mb: f64 = state.random_range(64.0..1024.0);
-                RequestSpec::new(mb * MIB, "gaussian2d")
+                RequestSpec::new(mb * MIB, gaussian)
             })
             .collect();
         let items = model.items(&reqs);

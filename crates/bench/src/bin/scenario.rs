@@ -152,7 +152,7 @@ fn main() {
         let profile = profile.as_ref().expect("profiled run under --obs-out");
         std::fs::write(
             format!("{dir}/profile.json"),
-            serde_json::to_string_pretty(profile).expect("profile serializes"),
+            serde_json::to_string_pretty(&profile.exec).expect("profile serializes"),
         )
         .expect("write profile.json");
     }

@@ -191,7 +191,8 @@ pub fn table4() -> (Table, f64) {
     let mut correct = 0usize;
     let situations = table4_situations();
     for (i, s) in situations.iter().enumerate() {
-        let algorithm = estimator.static_decision(&s.op, s.size_mb as f64 * MIB, s.n);
+        let op = estimator.rates().id(&s.op).expect("paper op");
+        let algorithm = estimator.static_decision(op, s.size_mb as f64 * MIB, s.n);
         // Ground truth: simulate both pure schemes (one seed per situation,
         // like the paper's single measurement per cell).
         let seed = 1000 + i as u64;

@@ -2,9 +2,9 @@
 
 use crate::cost::ResultModel;
 use crate::policy::PolicyConfig;
+use pfs::OpId;
 use serde::{Deserialize, Serialize};
 use simkit::SimSpan;
-use std::collections::BTreeMap;
 
 /// Bytes in a mebibyte (the paper's "MB").
 const MIB: f64 = 1024.0 * 1024.0;
@@ -18,21 +18,25 @@ pub struct OpRate {
     pub result: ResultModel,
 }
 
-/// Rate table for all known operations.
+/// Rate table for all known operations, and the interning table of
+/// [`OpId`]s: an op's id is its index in the table, assigned when the op is
+/// first [`set`](OpRates::set) and stable afterwards.
 ///
 /// The Contention Estimator derives `S_{C,op}` (storage capability) and
 /// `C_{C,op}` (compute capability) from these per-core rates and the node
-/// core counts.
+/// core counts. The driver resolves every op its workload names once, when
+/// it is built ([`Driver::validate`](crate::Driver::validate) rejects a
+/// name missing here); from then on rates are read by id, one index per
+/// lookup.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OpRates {
-    rates: BTreeMap<String, OpRate>,
+    /// `(name, rate)` indexed by [`OpId`].
+    ops: Vec<(String, OpRate)>,
 }
 
 impl OpRates {
     pub fn empty() -> Self {
-        OpRates {
-            rates: BTreeMap::new(),
-        }
+        OpRates { ops: Vec::new() }
     }
 
     /// The paper's measured rates (Table III): SUM 860 MB/s/core, 2-D
@@ -51,33 +55,51 @@ impl OpRates {
         r
     }
 
-    pub fn set(&mut self, op: &str, per_core: f64, result: ResultModel) {
+    /// Set `op`'s rate: replaces an existing entry in place (its id is
+    /// kept) or interns a new op under the next id.
+    pub fn set(&mut self, op: &str, per_core: f64, result: ResultModel) -> OpId {
         assert!(per_core.is_finite() && per_core > 0.0);
-        self.rates
-            .insert(op.to_string(), OpRate { per_core, result });
+        let rate = OpRate { per_core, result };
+        match self.id(op) {
+            Some(id) => {
+                self.ops[id.0 as usize].1 = rate;
+                id
+            }
+            None => {
+                self.ops.push((op.to_string(), rate));
+                OpId((self.ops.len() - 1) as u32)
+            }
+        }
+    }
+
+    /// The interned id of `op`, `None` if no rate is configured for it.
+    pub fn id(&self, op: &str) -> Option<OpId> {
+        self.ops
+            .iter()
+            .position(|(name, _)| name == op)
+            .map(|i| OpId(i as u32))
+    }
+
+    /// The rate of an interned op. Ids come from this table, so an
+    /// out-of-range id is a programming error and panics.
+    pub fn rate(&self, id: OpId) -> &OpRate {
+        &self.ops[id.0 as usize].1
+    }
+
+    /// The name an op was interned under.
+    pub fn name(&self, id: OpId) -> &str {
+        &self.ops[id.0 as usize].0
     }
 
     pub fn get(&self, op: &str) -> Option<&OpRate> {
-        self.rates.get(op)
+        self.id(op).map(|id| self.rate(id))
     }
 
-    /// Per-core rate for `op`; panics on unknown ops (a config error).
-    pub fn per_core(&self, op: &str) -> f64 {
-        self.rates
-            .get(op)
-            .unwrap_or_else(|| panic!("no rate configured for op {op:?}"))
-            .per_core
-    }
-
-    pub fn result_model(&self, op: &str) -> ResultModel {
-        self.rates
-            .get(op)
-            .unwrap_or_else(|| panic!("no rate configured for op {op:?}"))
-            .result
-    }
-
+    /// Every configured op name, sorted.
     pub fn ops(&self) -> impl Iterator<Item = &str> {
-        self.rates.keys().map(|s| s.as_str())
+        let mut names: Vec<&str> = self.ops.iter().map(|(name, _)| name.as_str()).collect();
+        names.sort_unstable();
+        names.into_iter()
     }
 }
 
@@ -274,9 +296,21 @@ mod tests {
     #[test]
     fn paper_rates_match_table_iii() {
         let r = OpRates::paper();
-        assert!((r.per_core("sum") / MIB - 860.0).abs() < 1e-9);
-        assert!((r.per_core("gaussian2d") / MIB - 80.0).abs() < 1e-9);
-        assert_eq!(r.result_model("sum").bytes(128.0 * MIB), 16.0);
+        assert!((r.get("sum").unwrap().per_core / MIB - 860.0).abs() < 1e-9);
+        assert!((r.get("gaussian2d").unwrap().per_core / MIB - 80.0).abs() < 1e-9);
+        assert_eq!(r.get("sum").unwrap().result.bytes(128.0 * MIB), 16.0);
+    }
+
+    #[test]
+    fn ids_index_the_table_and_round_trip_names() {
+        let r = OpRates::paper();
+        for name in r.ops() {
+            let id = r.id(name).expect("listed op interns");
+            assert_eq!(r.name(id), name);
+            assert_eq!(r.rate(id), r.get(name).unwrap());
+        }
+        assert_eq!(r.id("sum"), Some(OpId(0)));
+        assert_eq!(r.id("gaussian2d"), Some(OpId(1)));
     }
 
     #[test]
@@ -288,9 +322,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no rate configured")]
-    fn unknown_op_panics() {
-        OpRates::empty().per_core("sum");
+    fn unknown_op_has_no_id() {
+        assert_eq!(OpRates::empty().id("sum"), None);
+        assert!(OpRates::paper().get("nonsense").is_none());
     }
 
     #[test]
@@ -335,9 +369,13 @@ mod tests {
     }
 
     #[test]
-    fn set_replaces_rate() {
+    fn set_replaces_rate_and_keeps_the_id() {
         let mut r = OpRates::paper();
-        r.set("sum", 1.0, ResultModel::fixed(1));
-        assert_eq!(r.per_core("sum"), 1.0);
+        let before = r.id("sum");
+        assert_eq!(Some(r.set("sum", 1.0, ResultModel::fixed(1))), before);
+        assert_eq!(r.get("sum").unwrap().per_core, 1.0);
+        let fresh = r.set("custom", 2.0, ResultModel::fixed(1));
+        assert_eq!(r.name(fresh), "custom");
+        assert_eq!(r.ops().count(), 8);
     }
 }

@@ -21,6 +21,7 @@
 //! 100 %.
 
 use crate::config::OpRates;
+use pfs::OpId;
 use serde::{Deserialize, Serialize};
 
 /// The paper's `h(x)`: result size for `x` input bytes, `fixed + ratio·x`.
@@ -55,20 +56,18 @@ impl ResultModel {
 }
 
 /// One active I/O request as the scheduler sees it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestSpec {
     /// `d_i` in bytes.
     pub bytes: f64,
-    /// Operation name (selects rates and `h`).
-    pub op: String,
+    /// Operation (selects rates and `h`), interned in the model's
+    /// [`OpRates`].
+    pub op: OpId,
 }
 
 impl RequestSpec {
-    pub fn new(bytes: f64, op: &str) -> Self {
-        RequestSpec {
-            bytes,
-            op: op.to_string(),
-        }
+    pub fn new(bytes: f64, op: OpId) -> Self {
+        RequestSpec { bytes, op }
     }
 }
 
@@ -83,20 +82,21 @@ pub struct Item {
     pub z: f64,
 }
 
-/// The full cost model for one storage node.
-#[derive(Debug, Clone)]
-pub struct CostModel {
+/// The full cost model for one storage node. Borrows the rate table, so
+/// building one per decision round costs nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel<'r> {
     /// Network bandwidth `bw`, bytes/second.
     pub bw: f64,
     /// Effective storage-node capability multiplier: kernel-usable cores.
     pub storage_cores: f64,
     /// Cores a single client process can use (1 for sequential kernels).
     pub compute_cores: f64,
-    rates: OpRates,
+    rates: &'r OpRates,
 }
 
-impl CostModel {
-    pub fn new(bw: f64, storage_cores: f64, compute_cores: f64, rates: OpRates) -> Self {
+impl<'r> CostModel<'r> {
+    pub fn new(bw: f64, storage_cores: f64, compute_cores: f64, rates: &'r OpRates) -> Self {
         assert!(bw.is_finite() && bw > 0.0);
         assert!(storage_cores > 0.0 && compute_cores > 0.0);
         CostModel {
@@ -108,22 +108,22 @@ impl CostModel {
     }
 
     /// `S_{C,op}`: storage node's aggregate rate for `op`, bytes/second.
-    pub fn storage_rate(&self, op: &str) -> f64 {
-        self.rates.per_core(op) * self.storage_cores
+    pub fn storage_rate(&self, op: OpId) -> f64 {
+        self.rates.rate(op).per_core * self.storage_cores
     }
 
     /// `C_{C,op}`: one compute process's rate for `op`, bytes/second.
-    pub fn compute_rate(&self, op: &str) -> f64 {
-        self.rates.per_core(op) * self.compute_cores
+    pub fn compute_rate(&self, op: OpId) -> f64 {
+        self.rates.rate(op).per_core * self.compute_cores
     }
 
     /// `f(x)` on the storage node.
-    pub fn f_storage(&self, op: &str, x: f64) -> f64 {
+    pub fn f_storage(&self, op: OpId, x: f64) -> f64 {
         x / self.storage_rate(op)
     }
 
     /// `f(x)` on a compute node.
-    pub fn f_compute(&self, op: &str, x: f64) -> f64 {
+    pub fn f_compute(&self, op: OpId, x: f64) -> f64 {
         x / self.compute_rate(op)
     }
 
@@ -133,13 +133,13 @@ impl CostModel {
     }
 
     /// `h(x)` for `op`.
-    pub fn h(&self, op: &str, x: f64) -> f64 {
-        self.rates.result_model(op).bytes(x)
+    pub fn h(&self, op: OpId, x: f64) -> f64 {
+        self.rates.rate(op).result.bytes(x)
     }
 
     /// Eq. 5: `x_i = d_i/S_{C,op} + h(d_i)/bw`.
     pub fn x_i(&self, r: &RequestSpec) -> f64 {
-        self.f_storage(&r.op, r.bytes) + self.g(self.h(&r.op, r.bytes))
+        self.item(r.op, r.bytes).x
     }
 
     /// Eq. 6: `y_i = d_i / bw`.
@@ -149,18 +149,23 @@ impl CostModel {
 
     /// Eq. 7 term: `d_i / C_{C,op}`.
     pub fn z_i(&self, r: &RequestSpec) -> f64 {
-        self.f_compute(&r.op, r.bytes)
+        self.item(r.op, r.bytes).z
+    }
+
+    /// The solver item `{x_i, y_i, z_i}` (Eqs. 5–7) of one request of
+    /// `bytes` running `op`, from a single rate-table lookup.
+    pub fn item(&self, op: OpId, bytes: f64) -> Item {
+        let rate = self.rates.rate(op);
+        Item {
+            x: bytes / (rate.per_core * self.storage_cores) + rate.result.bytes(bytes) / self.bw,
+            y: bytes / self.bw,
+            z: bytes / (rate.per_core * self.compute_cores),
+        }
     }
 
     /// Precompute solver items for a batch.
     pub fn items(&self, reqs: &[RequestSpec]) -> Vec<Item> {
-        reqs.iter()
-            .map(|r| Item {
-                x: self.x_i(r),
-                y: self.y_i(r),
-                z: self.z_i(r),
-            })
-            .collect()
+        reqs.iter().map(|r| self.item(r.op, r.bytes)).collect()
     }
 
     /// Eq. 4: total time of an assignment (`true` = serve as active).
@@ -181,13 +186,13 @@ impl CostModel {
 
     /// Eq. 1: `T_A = f(D_A) + g(D_N) + g(h(D_A))` — everything active.
     /// All requests must share one op (the paper's setting).
-    pub fn t_all_active(&self, op: &str, d_active: f64, d_normal: f64) -> f64 {
+    pub fn t_all_active(&self, op: OpId, d_active: f64, d_normal: f64) -> f64 {
         self.f_storage(op, d_active) + self.g(d_normal) + self.g(self.h(op, d_active))
     }
 
     /// Eqs. 2–3: `T_N = g(D) + f(IO_size)` with `IO_size = max d_i` —
     /// everything served as normal I/O and computed client-side.
-    pub fn t_all_normal(&self, op: &str, sizes: &[f64]) -> f64 {
+    pub fn t_all_normal(&self, op: OpId, sizes: &[f64]) -> f64 {
         let d: f64 = sizes.iter().sum();
         let io_size = sizes.iter().cloned().fold(0.0, f64::max);
         self.g(d) + self.f_compute(op, io_size)
@@ -200,9 +205,15 @@ mod tests {
 
     const MIB: f64 = 1024.0 * 1024.0;
 
+    static PAPER: std::sync::LazyLock<OpRates> = std::sync::LazyLock::new(OpRates::paper);
+
+    fn op(name: &str) -> OpId {
+        PAPER.id(name).expect("paper op")
+    }
+
     /// The paper's testbed: 118 MB/s network, 1 kernel core on storage.
-    fn paper_model() -> CostModel {
-        CostModel::new(118.0 * MIB, 1.0, 1.0, OpRates::paper())
+    fn paper_model() -> CostModel<'static> {
+        CostModel::new(118.0 * MIB, 1.0, 1.0, &PAPER)
     }
 
     #[test]
@@ -214,16 +225,16 @@ mod tests {
 
     #[test]
     fn rates_scale_with_cores() {
-        let m = CostModel::new(118.0 * MIB, 2.0, 1.0, OpRates::paper());
-        assert!((m.storage_rate("gaussian2d") / MIB - 160.0).abs() < 1e-9);
-        assert!((m.compute_rate("gaussian2d") / MIB - 80.0).abs() < 1e-9);
+        let m = CostModel::new(118.0 * MIB, 2.0, 1.0, &PAPER);
+        assert!((m.storage_rate(op("gaussian2d")) / MIB - 160.0).abs() < 1e-9);
+        assert!((m.compute_rate(op("gaussian2d")) / MIB - 80.0).abs() < 1e-9);
     }
 
     #[test]
     fn gaussian_128mb_costs_match_hand_calculation() {
         // d = 128 MB, S = 80 MB/s, bw = 118 MB/s, h = 32 bytes.
         let m = paper_model();
-        let r = RequestSpec::new(128.0 * MIB, "gaussian2d");
+        let r = RequestSpec::new(128.0 * MIB, op("gaussian2d"));
         assert!((m.x_i(&r) - 1.6).abs() < 1e-6, "x = {}", m.x_i(&r));
         assert!((m.y_i(&r) - 128.0 / 118.0).abs() < 1e-6);
         assert!((m.z_i(&r) - 1.6).abs() < 1e-6);
@@ -233,13 +244,13 @@ mod tests {
     fn total_time_all_active_matches_eq1() {
         let m = paper_model();
         let reqs: Vec<RequestSpec> = (0..4)
-            .map(|_| RequestSpec::new(128.0 * MIB, "gaussian2d"))
+            .map(|_| RequestSpec::new(128.0 * MIB, op("gaussian2d")))
             .collect();
         let items = m.items(&reqs);
         let t = m.total_time(&items, &[true; 4]);
         // 4 × 1.6 s compute + 4 small result transfers.
         assert!((t - 6.4).abs() < 1e-3, "t = {t}");
-        let t_eq1 = m.t_all_active("gaussian2d", 4.0 * 128.0 * MIB, 0.0);
+        let t_eq1 = m.t_all_active(op("gaussian2d"), 4.0 * 128.0 * MIB, 0.0);
         assert!((t - t_eq1).abs() < 1e-6);
     }
 
@@ -249,11 +260,11 @@ mod tests {
         let sizes = [128.0 * MIB; 4];
         let reqs: Vec<RequestSpec> = sizes
             .iter()
-            .map(|&d| RequestSpec::new(d, "gaussian2d"))
+            .map(|&d| RequestSpec::new(d, op("gaussian2d")))
             .collect();
         let items = m.items(&reqs);
         let t = m.total_time(&items, &[false; 4]);
-        let t_eq3 = m.t_all_normal("gaussian2d", &sizes);
+        let t_eq3 = m.t_all_normal(op("gaussian2d"), &sizes);
         assert!((t - t_eq3).abs() < 1e-9);
         // 4 transfers serialized + one parallel client compute.
         assert!((t - (4.0 * 128.0 / 118.0 + 1.6)).abs() < 1e-3);
@@ -266,14 +277,14 @@ mod tests {
         let m = paper_model();
         for n in [1usize, 2] {
             let sizes = vec![128.0 * MIB; n];
-            let ta = m.t_all_active("gaussian2d", sizes.iter().sum(), 0.0);
-            let tn = m.t_all_normal("gaussian2d", &sizes);
+            let ta = m.t_all_active(op("gaussian2d"), sizes.iter().sum(), 0.0);
+            let tn = m.t_all_normal(op("gaussian2d"), &sizes);
             assert!(ta < tn, "n={n}: active {ta} should beat normal {tn}");
         }
         for n in [8usize, 16, 64] {
             let sizes = vec![128.0 * MIB; n];
-            let ta = m.t_all_active("gaussian2d", sizes.iter().sum(), 0.0);
-            let tn = m.t_all_normal("gaussian2d", &sizes);
+            let ta = m.t_all_active(op("gaussian2d"), sizes.iter().sum(), 0.0);
+            let tn = m.t_all_normal(op("gaussian2d"), &sizes);
             assert!(tn < ta, "n={n}: normal {tn} should beat active {ta}");
         }
     }
@@ -284,8 +295,8 @@ mod tests {
         let m = paper_model();
         for n in [1usize, 4, 16, 64] {
             let sizes = vec![128.0 * MIB; n];
-            let ta = m.t_all_active("sum", sizes.iter().sum(), 0.0);
-            let tn = m.t_all_normal("sum", &sizes);
+            let ta = m.t_all_active(op("sum"), sizes.iter().sum(), 0.0);
+            let tn = m.t_all_normal(op("sum"), &sizes);
             assert!(ta < tn, "n={n}");
         }
     }
@@ -294,8 +305,8 @@ mod tests {
     fn z_is_max_not_sum() {
         let m = paper_model();
         let reqs = vec![
-            RequestSpec::new(100.0 * MIB, "gaussian2d"),
-            RequestSpec::new(200.0 * MIB, "gaussian2d"),
+            RequestSpec::new(100.0 * MIB, op("gaussian2d")),
+            RequestSpec::new(200.0 * MIB, op("gaussian2d")),
         ];
         let items = m.items(&reqs);
         let t = m.total_time(&items, &[false, false]);
@@ -307,8 +318,8 @@ mod tests {
     fn mixed_assignment_cost() {
         let m = paper_model();
         let reqs = vec![
-            RequestSpec::new(128.0 * MIB, "gaussian2d"),
-            RequestSpec::new(128.0 * MIB, "gaussian2d"),
+            RequestSpec::new(128.0 * MIB, op("gaussian2d")),
+            RequestSpec::new(128.0 * MIB, op("gaussian2d")),
         ];
         let items = m.items(&reqs);
         let t = m.total_time(&items, &[true, false]);
@@ -320,7 +331,7 @@ mod tests {
     #[should_panic]
     fn mismatched_assignment_length_panics() {
         let m = paper_model();
-        let items = m.items(&[RequestSpec::new(1.0, "sum")]);
+        let items = m.items(&[RequestSpec::new(1.0, op("sum"))]);
         m.total_time(&items, &[true, false]);
     }
 }

@@ -17,13 +17,13 @@ mod assembly;
 mod issue;
 mod types;
 
-pub(super) use types::{AppIo, AppIoId, FileSpan, IssueKind, Piece, Req};
+pub(super) use types::{AppIo, AppIoId, FileSpan, IssueKind, KernelCall, Piece, Req};
 
 use super::autopsy::ReqStage;
 use super::server::CpuWork;
 use super::{Driver, Ev, Subsystem};
 use crate::asc::ClientAction;
-use crate::runtime::ServiceMode;
+use crate::runtime::{RequestInfo, ServiceMode};
 use assembly::{assemble_result, cache_miss_bytes};
 use cluster::{FlowId, NodeId};
 use mpiio::file::ResultBuf;
@@ -135,8 +135,8 @@ impl Driver {
     fn on_arrive(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
         let (server, kind, bytes, client, is_write) = {
             let r = &self.io.reqs[&id];
-            let kind = match &r.op {
-                Some(op) => IoKind::Active { op: op.clone() },
+            let kind = match r.op {
+                Some(op) => IoKind::Active { op },
                 None => IoKind::Normal,
             };
             (r.server, kind, r.bytes, r.client, r.is_write)
@@ -170,11 +170,12 @@ impl Driver {
             self.launch_flow(id, client, server, bytes, now, sched);
             return;
         }
+        let info = self.request_info(id);
         self.server
             .runtimes
             .get_mut(&server)
             .expect("server runtime")
-            .on_arrival(id);
+            .on_arrival(id, info);
         self.submit_disk_read(server, id, bytes, now, sched);
 
         let decide = self.dosas.as_ref().is_some_and(|d| d.decide_on_arrival)
@@ -184,6 +185,18 @@ impl Driver {
             // as periodic probes but never spawn retries (the probe loop
             // owns the retry schedule).
             self.handle_probe(server, now, false, sched);
+        }
+    }
+
+    /// What the server runtime's plannable-row index records for `id`.
+    fn request_info(&self, id: RequestId) -> RequestInfo {
+        let r = &self.io.reqs[&id];
+        let app = &self.io.apps[&r.app];
+        RequestInfo {
+            op: r.op,
+            bytes: r.bytes,
+            rank: app.rank,
+            tenant: app.tenant,
         }
     }
 
@@ -265,12 +278,13 @@ impl Driver {
         sched: &mut Scheduler<Ev>,
     ) {
         let server = self.io.reqs[&id].server;
+        let info = self.request_info(id);
         if let Err(e) = self
             .server
             .runtimes
             .get_mut(&server)
             .expect("server runtime")
-            .on_checkpoint_failed(id)
+            .on_checkpoint_failed(id, info)
         {
             // The request is no longer a failable migrated shipment (it
             // raced out of that state); deliver the transfer normally
@@ -283,7 +297,6 @@ impl Driver {
             let r = self.io.reqs.get_mut(&id).expect("req");
             r.processed_bytes = 0.0;
             r.ship_state = None;
-            r.split = None;
             r.kernel = None;
             r.bytes
         };
@@ -495,7 +508,7 @@ impl Driver {
                             kernel,
                         } => {
                             app.client_bytes += remaining_bytes as f64;
-                            app.rate_op = r.op.clone();
+                            app.rate_op = r.op;
                             if mode == ServiceMode::Migrated {
                                 app.any_migrated = true;
                             } else {
@@ -519,7 +532,7 @@ impl Driver {
                     let app = self.io.apps.get_mut(&app_id).expect("app");
                     if app.client_op.is_some() {
                         app.client_bytes += r.bytes;
-                        app.rate_op = app.client_op.as_ref().map(|(op, _)| op.clone());
+                        app.rate_op = app.client_op.as_ref().map(|call| call.id);
                     }
                     if self.cfg.data_plane {
                         let data = r.data.take().expect("data-plane bytes");
@@ -545,14 +558,12 @@ impl Driver {
             // forward as the app's causal chain.
             app.chain = r.chain.take();
             if app.client_bytes > 0.0 {
-                let op = app
-                    .rate_op
-                    .clone()
-                    .expect("client compute has an operation");
+                let op = app.rate_op.expect("client compute has an operation");
                 let client_bytes = app.client_bytes;
                 let rank = app.rank;
                 app.t_client_start = now;
-                let core_seconds = self.cpu_cost(client_bytes / self.cfg.rates.per_core(&op));
+                let per_core = self.cfg.rates.rate(op).per_core;
+                let core_seconds = self.cpu_cost(client_bytes / per_core);
                 // Autopsy: the client compute's ideal is its solo run.
                 if let Some(ch) = self.io.apps.get_mut(&app_id).expect("app").chain.as_mut() {
                     ch.arm(core_seconds);
@@ -589,7 +600,8 @@ impl Driver {
         if app.client_bytes > 0.0 {
             let node = self.ranks.states[app.rank].node.0;
             let start = app.t_client_start;
-            let op = app.rate_op.clone().unwrap_or_default();
+            let rates = &self.cfg.rates;
+            let op = app.rate_op.map_or("", |id| rates.name(id)).to_owned();
             let tenant = app.tenant;
             let wait = chain.as_ref().and_then(|ch| {
                 ch.hops()
@@ -619,7 +631,7 @@ impl Driver {
                     op: app
                         .op
                         .clone()
-                        .or_else(|| app.client_op.as_ref().map(|(op, _)| op.clone())),
+                        .or_else(|| app.client_op.as_ref().map(|call| call.name.clone())),
                     bytes: app.total_bytes,
                     issued_at: app.issued_at,
                     completed_at: now,
@@ -671,7 +683,7 @@ impl Driver {
             op: app
                 .op
                 .clone()
-                .or_else(|| app.client_op.as_ref().map(|(op, _)| op.clone())),
+                .or_else(|| app.client_op.as_ref().map(|call| call.name.clone())),
             issued_at: app.issued_at,
             completed_at: now,
             site,

@@ -30,10 +30,12 @@ pub(in super::super) fn assemble_result(
     registry: &KernelRegistry,
 ) -> Option<Vec<u8>> {
     app.pieces.sort_by_key(|(idx, _)| *idx);
-    if let Some((op, params)) = &app.client_op {
+    if let Some(call) = &app.client_op {
         // TS-style read: one client kernel over all raw extents, replayed
         // in file order.
-        let mut kernel = registry.create(op, params).expect("client op constructs");
+        let mut kernel = registry
+            .create(&call.name, &call.params)
+            .expect("client op constructs");
         let mut extents: Vec<(u64, Vec<u8>)> = Vec::new();
         for (_, piece) in app.pieces.drain(..) {
             match piece {

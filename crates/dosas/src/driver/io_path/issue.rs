@@ -31,7 +31,8 @@ impl Driver {
         let file_meta = self.io.meta.stat(fh).expect("fresh handle").clone();
         let plan = ReadPlan::new(&file_meta, offset, bytes).expect("in-bounds access");
         let (active, client_op, is_write) = match kind {
-            IssueKind::Read { active, client_op } => (active, client_op, false),
+            IssueKind::Read { client_op } => (None, client_op, false),
+            IssueKind::ReadEx(call) => (Some(call), None, false),
             IssueKind::Write => (None, None, true),
         };
         if !is_write {
@@ -61,8 +62,10 @@ impl Driver {
         let app_id = AppIoId(self.io.next_app);
         self.io.next_app += 1;
         let client = self.ranks.states[rank].node;
-        let (op_name, params) = match &active {
-            Some((op, p)) => (Some(op.clone()), p.clone()),
+        let tenant = self.ranks.states[rank].tenant;
+        let op = active.as_ref().map(|call| call.id);
+        let (op_name, params) = match active {
+            Some(call) => (Some(call.name), call.params),
             None => (None, KernelParams::default()),
         };
 
@@ -70,7 +73,7 @@ impl Driver {
             app_id,
             AppIo {
                 rank,
-                tenant: self.ranks.states[rank].tenant,
+                tenant,
                 op: op_name.clone(),
                 params: params.clone(),
                 client_op,
@@ -97,7 +100,7 @@ impl Driver {
                     .runtimes
                     .get_mut(&server)
                     .expect("extent targets a storage node")
-                    .track(id, op_name.is_some());
+                    .track(id, op.is_some());
                 if let Some(op) = &op_name {
                     self.io
                         .ascs
@@ -123,10 +126,9 @@ impl Driver {
                     server,
                     bytes: total as f64,
                     is_write,
-                    op: op_name.clone(),
+                    op,
                     fh,
                     cpu_task: None,
-                    split: None,
                     processed_bytes: 0.0,
                     ship_state: None,
                     extents,

@@ -7,7 +7,7 @@
 
 use cluster::NodeId;
 use kernels::{Kernel, KernelParams, KernelState};
-use pfs::FileHandle;
+use pfs::{FileHandle, OpId};
 use simkit::{SimTime, TaskId};
 
 /// Application-level I/O identifier (one MPI-IO call; 1..n [`Req`] parts).
@@ -24,11 +24,9 @@ pub(in super::super) struct Req {
     /// This request writes data instead of reading it.
     pub(in super::super) is_write: bool,
     /// Active operation, `None` for plain reads.
-    pub(in super::super) op: Option<String>,
+    pub(in super::super) op: Option<OpId>,
     pub(in super::super) fh: FileHandle,
     pub(in super::super) cpu_task: Option<TaskId>,
-    /// Planned partial-offload fraction (extension); `None` = run fully.
-    pub(in super::super) split: Option<f64>,
     /// Bytes the storage-side kernel finished before completion/interrupt.
     pub(in super::super) processed_bytes: f64,
     pub(in super::super) ship_state: Option<KernelState>,
@@ -65,13 +63,13 @@ pub(in super::super) struct AppIo {
     pub(in super::super) tenant: Option<usize>,
     pub(in super::super) op: Option<String>,
     pub(in super::super) params: KernelParams,
-    pub(in super::super) client_op: Option<(String, KernelParams)>,
+    pub(in super::super) client_op: Option<KernelCall>,
     pub(in super::super) parts_pending: usize,
     pub(in super::super) total_bytes: f64,
     pub(in super::super) issued_at: SimTime,
     /// Bytes the client must still process (rate per `rate_op`).
     pub(in super::super) client_bytes: f64,
-    pub(in super::super) rate_op: Option<String>,
+    pub(in super::super) rate_op: Option<OpId>,
     pub(in super::super) pieces: Vec<(usize, Piece)>,
     pub(in super::super) any_active_completed: bool,
     pub(in super::super) any_demoted: bool,
@@ -90,13 +88,22 @@ pub(in super::super) struct FileSpan<'a> {
     pub(in super::super) bytes: u64,
 }
 
+/// A kernel a rank program names: its interned rate-table id plus the name
+/// and parameters it is instantiated (and printed) with.
+pub(in super::super) struct KernelCall {
+    pub(in super::super) id: OpId,
+    pub(in super::super) name: String,
+    pub(in super::super) params: KernelParams,
+}
+
 /// What a rank asks the I/O path to do.
 pub(in super::super) enum IssueKind {
+    /// A plain read.
     Read {
-        /// Server-side kernel request (`MPI_File_read_ex`).
-        active: Option<(String, KernelParams)>,
         /// Client-side kernel over the raw bytes (TS-degraded reads).
-        client_op: Option<(String, KernelParams)>,
+        client_op: Option<KernelCall>,
     },
+    /// A server-side kernel request (`MPI_File_read_ex`).
+    ReadEx(KernelCall),
     Write,
 }

@@ -48,6 +48,7 @@ pub use autopsy::{
     AutopsyReport, CauseWait, CpSegment, CriticalPath, NodeWait, ReqHop, ReqStage, RequestAutopsy,
     TenantWait, WaitCause,
 };
+pub use control::DecisionRoundStats;
 pub use metrics::{
     AppIoRecord, PolicyLogEntry, PolicyStats, RunMetrics, TenantReport, TenantSloOutcome,
     TenantStats,
@@ -196,14 +197,30 @@ pub struct Driver {
     telemetry: Telemetry,
 }
 
-/// A driver configuration that cannot be built into a cluster, as found by
+/// A driver configuration that cannot be built into a run, as found by
 /// [`Driver::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfigError(pub String);
+pub enum ConfigError {
+    /// The cluster cannot be built; the message says why.
+    Cluster(String),
+    /// A rank program names a kernel op the rate table has no rate for.
+    UnknownOp {
+        op: String,
+        /// The ops the rate table does configure, sorted.
+        known: Vec<String>,
+    },
+}
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid cluster config: {}", self.0)
+        match self {
+            ConfigError::Cluster(why) => write!(f, "invalid cluster config: {why}"),
+            ConfigError::UnknownOp { op, known } => write!(
+                f,
+                "unknown op {op:?}: no rate configured (known: {})",
+                known.join(", ")
+            ),
+        }
     }
 }
 
@@ -213,23 +230,36 @@ impl Driver {
     /// The cluster a workload actually runs on: compute nodes are
     /// auto-expanded so every rank gets a dedicated core (the paper's
     /// one-process-per-core placement), then the result is validated.
+    /// Every kernel op the rank programs name must also have a rate in
+    /// `cfg.rates`, whose [`OpId`](pfs::OpId) each request carries.
     ///
     /// [`Driver::new`] applies exactly this and panics on an error; front
     /// ends call it first to report a bad configuration instead.
     pub fn validate(cfg: &DriverConfig, workload: &Workload) -> Result<ClusterConfig, ConfigError> {
+        let cluster = Self::sized_cluster(cfg, workload)?;
+        for op in workload.programs.iter().flat_map(|p| &p.ops) {
+            ranks::check_op(&cfg.rates, op)?;
+        }
+        Ok(cluster)
+    }
+
+    fn sized_cluster(
+        cfg: &DriverConfig,
+        workload: &Workload,
+    ) -> Result<ClusterConfig, ConfigError> {
         let mut cluster = cfg.cluster.clone();
         let cores = cluster.cores_per_compute.max(1);
         cluster.compute_nodes = cluster
             .compute_nodes
             .max(workload.rank_count().div_ceil(cores));
-        cluster.validate().map_err(ConfigError)?;
+        cluster.validate().map_err(ConfigError::Cluster)?;
         Ok(cluster)
     }
 
     /// Build the world for a workload on the cluster [`Driver::validate`]
-    /// derives. Panics if that cluster is invalid.
+    /// derives. Panics where `validate` errs.
     pub fn new(mut cfg: DriverConfig, workload: &Workload) -> Self {
-        cfg.cluster = Self::validate(&cfg, workload).expect("invalid cluster config");
+        cfg.cluster = Self::sized_cluster(&cfg, workload).unwrap_or_else(|e| panic!("{e}"));
 
         let rng = RngFactory::new(cfg.seed);
         let cluster = ClusterState::build(cfg.cluster.clone(), &rng);
@@ -320,7 +350,9 @@ impl Driver {
             &workload.programs,
             &workload.tenants,
             cfg.cluster.compute_nodes,
-        );
+            &cfg.rates,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
 
         Driver {
             dosas,
@@ -361,6 +393,8 @@ impl Driver {
                 next_policy_token: 0,
                 bw_estimate: BTreeMap::new(),
                 telemetry: crate::policy::PolicyTelemetry::default(),
+                round: None,
+                round_stats: None,
             },
             faults: Faults::new(&cfg.fault_plan),
             telemetry: Telemetry::new(&cfg.obs, cfg.autopsy.then(|| workload.rank_count())),
@@ -420,13 +454,14 @@ impl Driver {
     }
 
     /// Like [`Driver::run_with`], but with a wall-clock per-subsystem
-    /// dispatch profile. Profiling is purely observational — the returned
-    /// [`RunMetrics`] are bit-identical to an unprofiled run.
+    /// dispatch profile and decision-round counters. Profiling is purely
+    /// observational — the returned [`RunMetrics`] are bit-identical to an
+    /// unprofiled run.
     pub fn run_profiled(
         cfg: DriverConfig,
         workload: &Workload,
         mode: ExecMode,
-    ) -> (RunMetrics, simkit::ExecProfile) {
+    ) -> (RunMetrics, RunProfile) {
         let ExecMode::Serial = mode;
         let (metrics, profile) = Self::execute(cfg, workload, true);
         (metrics, profile.expect("profiling enabled"))
@@ -436,10 +471,13 @@ impl Driver {
         cfg: DriverConfig,
         workload: &Workload,
         profiled: bool,
-    ) -> (RunMetrics, Option<simkit::ExecProfile>) {
+    ) -> (RunMetrics, Option<RunProfile>) {
         let scheme_name = cfg.scheme.name().to_string();
         let total_bytes = workload.total_request_bytes() as f64;
-        let driver = Driver::new(cfg, workload);
+        let mut driver = Driver::new(cfg, workload);
+        if profiled {
+            driver.control.round_stats = Some(Box::default());
+        }
         let seed = driver.seed_plan();
         let mut sim = Simulation::new(driver);
         if profiled {
@@ -450,11 +488,37 @@ impl Driver {
         let events = sim.scheduler().dispatched_count();
         let scheduled = sim.scheduler().scheduled_count();
         let cancelled = sim.scheduler().cancelled_count();
-        let profile = sim.take_profile();
+        let profile = sim.take_profile().map(|exec| RunProfile {
+            exec,
+            decision_rounds: sim
+                .world
+                .control
+                .round_stats
+                .as_deref()
+                .copied()
+                .unwrap_or_default(),
+        });
         let metrics =
             sim.world
                 .collect_metrics(scheme_name, total_bytes, end, events, scheduled, cancelled);
         (metrics, profile)
+    }
+}
+
+/// The host-time profile of one [`Driver::run_profiled`] run: simkit's
+/// per-subsystem dispatch profile (which this dereferences to) plus the
+/// driver's decision-round counters.
+#[derive(Debug, Clone, Default)]
+pub struct RunProfile {
+    pub exec: simkit::ExecProfile,
+    pub decision_rounds: DecisionRoundStats,
+}
+
+impl std::ops::Deref for RunProfile {
+    type Target = simkit::ExecProfile;
+
+    fn deref(&self) -> &simkit::ExecProfile {
+        &self.exec
     }
 }
 

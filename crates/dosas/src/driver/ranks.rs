@@ -8,11 +8,13 @@
 //! node CPU via the [`server`](super::server) subsystem's work map.
 
 use super::autopsy::{RankSeg, WaitCause};
-use super::io_path::{FileSpan, IssueKind};
+use super::io_path::{FileSpan, IssueKind, KernelCall};
 use super::server::CpuWork;
-use super::{Driver, Ev, Subsystem};
+use super::{ConfigError, Driver, Ev, Subsystem};
+use crate::config::OpRates;
 use cluster::{FlowId, NodeId};
 use mpiio::program::{Op, RankProgram};
+use pfs::OpId;
 use simkit::component::Component;
 use simkit::{Scheduler, SimTime};
 use std::collections::BTreeSet;
@@ -114,8 +116,14 @@ pub(super) struct Ranks {
 impl Ranks {
     /// Place one rank per core, round-robin over compute nodes (the
     /// paper's one-process-per-core placement; nodes were pre-expanded by
-    /// [`Driver::new`]).
-    pub(super) fn new(programs: &[RankProgram], tenants: &[usize], compute_nodes: usize) -> Self {
+    /// [`Driver::new`]), checking that every kernel op the programs name
+    /// has a rate in `rates` — or naming the first that has none.
+    pub(super) fn new(
+        programs: &[RankProgram],
+        tenants: &[usize],
+        compute_nodes: usize,
+        rates: &OpRates,
+    ) -> Result<Self, ConfigError> {
         assert!(
             tenants.is_empty() || tenants.len() == programs.len(),
             "tenant labels must be absent or cover every rank \
@@ -123,25 +131,31 @@ impl Ranks {
             tenants.len(),
             programs.len()
         );
-        Ranks {
-            states: programs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| RankState {
-                    node: NodeId(i % compute_nodes),
-                    program: p.clone(),
-                    pc: 0,
-                    finished: None,
-                    at_barrier: false,
-                    tenant: tenants.get(i).copied(),
-                })
-                .collect(),
+        let mut states = Vec::with_capacity(programs.len());
+        for (i, p) in programs.iter().enumerate() {
+            // Check the clone: its steps were just written, so reading
+            // them again is cheap.
+            let program = p.clone();
+            for op in &program.ops {
+                check_op(rates, op)?;
+            }
+            states.push(RankState {
+                node: NodeId(i % compute_nodes),
+                program,
+                pc: 0,
+                finished: None,
+                at_barrier: false,
+                tenant: tenants.get(i).copied(),
+            });
+        }
+        Ok(Ranks {
+            states,
             barrier_count: 0,
             finished: 0,
             collective: None,
             collective_waiting: 0,
             flow_coll: BTreeSet::new(),
-        }
+        })
     }
 
     pub(super) fn len(&self) -> usize {
@@ -151,6 +165,30 @@ impl Ranks {
     /// The rank → node placement for collective planning.
     pub(super) fn placement(&self) -> Vec<NodeId> {
         self.states.iter().map(|r| r.node).collect()
+    }
+}
+
+/// The kernel op a program step names, if any: a `ReadEx` operation or a
+/// `Read`'s client-side op.
+fn kernel_op(op: &Op) -> Option<&str> {
+    match op {
+        Op::ReadEx { operation, .. } => Some(operation),
+        Op::Read {
+            client_op: Some((name, _)),
+            ..
+        } => Some(name),
+        _ => None,
+    }
+}
+
+/// Check that a step's kernel op, if it names one, has a rate in `rates`.
+pub(super) fn check_op(rates: &OpRates, op: &Op) -> Result<(), ConfigError> {
+    match kernel_op(op) {
+        Some(name) if rates.id(name).is_none() => Err(ConfigError::UnknownOp {
+            op: name.to_string(),
+            known: rates.ops().map(str::to_string).collect(),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -170,6 +208,15 @@ impl Component<Driver> for RanksComponent {
 }
 
 impl Driver {
+    /// The interned id of a kernel op a rank program names, resolved once
+    /// per issued request ([`Driver::new`] checked that every op has one).
+    fn op_id(&self, name: &str) -> OpId {
+        self.cfg
+            .rates
+            .id(name)
+            .expect("Driver::new checked every op")
+    }
+
     pub(super) fn rank_step(&mut self, rank: usize, now: SimTime, sched: &mut Scheduler<Ev>) {
         let state = &self.ranks.states[rank];
         let Some(op) = state.program.ops.get(state.pc).cloned() else {
@@ -194,8 +241,11 @@ impl Driver {
             } => {
                 let bytes = datatype.transfer_size(count);
                 let kind = IssueKind::Read {
-                    active: None,
-                    client_op,
+                    client_op: client_op.map(|(name, params)| KernelCall {
+                        id: self.op_id(&name),
+                        name,
+                        params,
+                    }),
                 };
                 let span = FileSpan {
                     path: &path,
@@ -215,11 +265,17 @@ impl Driver {
                 let bytes = datatype.transfer_size(count);
                 // Scheme transform: under Traditional Storage the enhanced
                 // call degrades to a plain read + client-side kernel.
-                let (active, client_op) = match &self.cfg.scheme {
-                    crate::config::Scheme::Traditional => (None, Some((operation, params))),
-                    _ => (Some((operation, params)), None),
+                let call = KernelCall {
+                    id: self.op_id(&operation),
+                    name: operation,
+                    params,
                 };
-                let kind = IssueKind::Read { active, client_op };
+                let kind = match &self.cfg.scheme {
+                    crate::config::Scheme::Traditional => IssueKind::Read {
+                        client_op: Some(call),
+                    },
+                    _ => IssueKind::ReadEx(call),
+                };
                 let span = FileSpan {
                     path: &path,
                     offset,
@@ -464,7 +520,7 @@ mod tests {
     #[test]
     fn placement_follows_round_robin() {
         let programs = vec![RankProgram { ops: vec![] }; 5];
-        let ranks = Ranks::new(&programs, &[], 2);
+        let ranks = Ranks::new(&programs, &[], 2, &OpRates::paper()).expect("no kernel ops");
         assert_eq!(
             ranks.placement(),
             nodes(&[0, 1, 0, 1, 0]),

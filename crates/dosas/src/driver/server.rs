@@ -299,16 +299,13 @@ impl Driver {
 
     /// Launch a request's kernel on its storage node's CPU.
     fn start_kernel(&mut self, id: RequestId, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let (server, op, bytes, split) = {
+        let (server, op, bytes) = {
             let r = &self.io.reqs[&id];
-            (
-                r.server,
-                r.op.clone().expect("active request has op"),
-                r.bytes,
-                r.split.unwrap_or(1.0),
-            )
+            (r.server, r.op.expect("active request has op"), r.bytes)
         };
-        let core_seconds = self.cpu_cost(split * bytes / self.cfg.rates.per_core(&op));
+        let split = self.server.runtimes[&server].planned_split(id);
+        let per_core = self.cfg.rates.rate(op).per_core;
+        let core_seconds = self.cpu_cost(split * bytes / per_core);
         self.obs_inc("server", "kernels_started", obs::Label::Node(server.0));
         let task = self.cluster.cpus[server.0].submit(now, core_seconds);
         self.server
@@ -333,7 +330,7 @@ impl Driver {
         if self.cfg.data_plane {
             r.kernel = Some(
                 self.registry
-                    .create(&op, &params)
+                    .create(self.cfg.rates.name(op), &params)
                     .expect("registered op constructs"),
             );
         }
@@ -411,7 +408,7 @@ impl Driver {
                         .and_then(|h| h.cause.map(|c| (h.wait_secs, c)))
                 });
                 (
-                    r.op.clone().unwrap_or_default(),
+                    r.op.map_or("", |op| self.cfg.rates.name(op)).to_owned(),
                     r.t_kernel_start,
                     r.app.0,
                     self.io.apps[&r.app].tenant,
@@ -440,7 +437,7 @@ impl Driver {
         // Planned partial offload: the kernel was submitted with only its
         // storage-side fraction of the work; at this point it checkpoints
         // and the residue migrates to the client.
-        let split = self.io.reqs[&id].split.unwrap_or(1.0);
+        let split = self.server.runtimes[&server].planned_split(id);
         if split < 1.0 - 1e-12 {
             self.server
                 .runtimes
@@ -477,7 +474,7 @@ impl Driver {
             let r = self.io.reqs.get_mut(&id).expect("req");
             r.cpu_task = None;
             r.processed_bytes = r.bytes;
-            (r.op.clone().expect("kernel has op"), r.bytes)
+            (r.op.expect("kernel has op"), r.bytes)
         };
         if self.cfg.data_plane {
             let r = self.io.reqs.get_mut(&id).expect("req");
@@ -486,7 +483,7 @@ impl Driver {
             kernel.process_chunk(data);
             r.result = Some(kernel.finalize());
         }
-        let result_bytes = self.cfg.rates.result_model(&op).bytes(bytes);
+        let result_bytes = self.cfg.rates.rate(op).result.bytes(bytes);
         let dst = self.io.reqs[&id].client;
         self.launch_flow(id, server, dst, result_bytes, now, sched);
     }

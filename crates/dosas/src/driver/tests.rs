@@ -824,6 +824,46 @@ fn oversized_fat_tree_is_a_config_error_not_a_panic() {
     assert_eq!(cluster.compute_nodes, 16);
 }
 
+#[test]
+fn unknown_op_is_a_config_error_not_a_mid_run_panic() {
+    // The driver interns every op at build time, so an op missing from the
+    // rate table is rejected before the run — whether it is a `read_ex`
+    // operation or the client op of a plain read, and under every scheme.
+    let w = Workload::uniform_active(2, 1, mb(8), "nonsense", KernelParams::default());
+    for scheme in [
+        Scheme::Traditional,
+        Scheme::ActiveStorage,
+        Scheme::dosas_default(),
+        Scheme::dosas_partial(),
+    ] {
+        let err = Driver::validate(&det_config(scheme), &w).expect_err("op has no rate");
+        assert_eq!(
+            err,
+            ConfigError::UnknownOp {
+                op: "nonsense".into(),
+                known: OpRates::paper().ops().map(str::to_string).collect(),
+            }
+        );
+        assert!(err.to_string().starts_with("unknown op \"nonsense\": "));
+    }
+
+    let mut client = Workload::uniform_active(2, 1, mb(8), "sum", KernelParams::default());
+    client.programs[1] = mpiio::program::RankProgram::single_read_with_client_op(
+        &client.files[0].path,
+        mb(8),
+        "median",
+        KernelParams::default(),
+    );
+    let err = Driver::validate(&det_config(Scheme::ActiveStorage), &client).expect_err("no rate");
+    assert!(matches!(err, ConfigError::UnknownOp { ref op, .. } if op == "median"));
+
+    // A rate registered for a custom name makes the same workload valid.
+    let mut cfg = det_config(Scheme::dosas_default());
+    cfg.rates
+        .set("nonsense", 100.0 * MIB, crate::cost::ResultModel::fixed(8));
+    assert!(Driver::validate(&cfg, &w).is_ok());
+}
+
 /// Fault transitions evaluate only the nodes whose windows open or close
 /// at `now`. Under random storms with overlapping windows plus leave /
 /// rejoin windows, after every `Ev::Fault` each node's CPU capacity
@@ -902,6 +942,26 @@ fn every_golden_world_ends_drained() {
                 "{name}: storage ordinal {s} has disk requests left"
             );
         }
+        let world = &sim.world;
+        assert!(world.io.reqs.is_empty(), "{name}: requests left in flight");
+        for (node, server) in &world.server.servers {
+            assert_eq!(server.queue_len(), 0, "{name}: {node:?} queue not drained");
+        }
+        for (node, rt) in &world.server.runtimes {
+            assert_eq!(
+                rt.tracked_count(),
+                0,
+                "{name}: {node:?} still tracks requests"
+            );
+            assert!(
+                rt.plannable().is_empty(),
+                "{name}: {node:?} plannable-row index not empty"
+            );
+        }
+        assert!(
+            world.control.pending_policies.is_empty(),
+            "{name}: delayed policies never arrived"
+        );
     };
 
     // tests/golden_metrics.rs: four schemes × three seeds on the paper's

@@ -14,12 +14,12 @@
 //! paper gives for its boundary misjudgments (Table IV).
 
 use crate::config::{OpRates, ProbeConfig};
-use crate::cost::{CostModel, RequestSpec};
+use crate::cost::{CostModel, Item};
+use crate::schedule::fractional::{self, SplitItem};
 use crate::schedule::{self, SolverKind};
-use pfs::{QueueSnapshot, RequestId};
+use pfs::{OpId, QueueSnapshot, RequestId};
 use serde::{Deserialize, Serialize};
 use simkit::{SimSpan, SimTime};
-use std::collections::BTreeMap;
 
 /// Per-request scheduling decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,34 +31,50 @@ pub enum Decision {
 }
 
 /// The CE's output: one decision per queued active request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Both lists are in the probed queue's row order, which is ascending
+/// [`RequestId`]; lookups by id binary-search them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Policy {
-    pub decisions: BTreeMap<RequestId, Decision>,
+    pub decisions: Vec<(RequestId, Decision)>,
     /// Partial-offload extension: for requests decided `Active`, the
     /// fraction of the data to process on the storage node before a
-    /// planned migration (absent or 1.0 = run to completion).
-    pub fractions: BTreeMap<RequestId, f64>,
+    /// planned migration (absent = run to completion).
+    pub fractions: Vec<(RequestId, f64)>,
     /// The solver's predicted completion time for the batch.
     pub predicted_time: f64,
     pub generated_at: SimTime,
 }
 
 impl Policy {
+    /// Empty this policy for a round generated at `now`, keeping its
+    /// buffers.
+    pub fn reset(&mut self, now: SimTime) {
+        self.decisions.clear();
+        self.fractions.clear();
+        self.predicted_time = 0.0;
+        self.generated_at = now;
+    }
+
     /// Decision for `id`; requests unknown to the policy default to Active
     /// (the runtime only acts on explicit demotions).
     pub fn decision(&self, id: RequestId) -> Decision {
-        self.decisions.get(&id).copied().unwrap_or(Decision::Active)
+        self.decisions
+            .binary_search_by_key(&id, |&(rid, _)| rid)
+            .map_or(Decision::Active, |i| self.decisions[i].1)
     }
 
     /// Planned storage-side fraction for `id` (1.0 when not split).
     pub fn fraction(&self, id: RequestId) -> f64 {
-        self.fractions.get(&id).copied().unwrap_or(1.0)
+        self.fractions
+            .binary_search_by_key(&id, |&(rid, _)| rid)
+            .map_or(1.0, |i| self.fractions[i].1)
     }
 
     pub fn active_count(&self) -> usize {
         self.decisions
-            .values()
-            .filter(|&&d| d == Decision::Active)
+            .iter()
+            .filter(|&&(_, d)| d == Decision::Active)
             .count()
     }
 
@@ -67,11 +83,12 @@ impl Policy {
     }
 }
 
-/// What the CE sees when it probes the node.
-#[derive(Debug, Clone)]
-pub struct SystemProbe {
+/// What the CE sees when it probes the node. Borrows the probed queue, so
+/// a decision round lends the CE its snapshot instead of copying it.
+#[derive(Debug, Clone, Copy)]
+pub struct SystemProbe<'a> {
     /// The data server's I/O queue (Table II's `n`, `k`, `d_i`, …).
-    pub queue: QueueSnapshot,
+    pub queue: &'a QueueSnapshot,
     /// Fraction of storage CPU consumed by duties *other than* the queued
     /// kernels the CE is about to schedule (e.g. other applications).
     pub background_cpu: f64,
@@ -82,6 +99,32 @@ pub struct SystemProbe {
     /// falls back to the nominal bandwidth, as in the paper — whose authors
     /// name the unobserved 111–120 MB/s variation as a misjudgment cause.
     pub bandwidth_estimate: Option<f64>,
+}
+
+impl<'a> SystemProbe<'a> {
+    /// A probe of `queue` with no background load and nominal bandwidth.
+    pub fn of(queue: &'a QueueSnapshot) -> Self {
+        SystemProbe {
+            queue,
+            background_cpu: 0.0,
+            background_memory: 0.0,
+            bandwidth_estimate: None,
+        }
+    }
+}
+
+/// Buffers one decision round fills and the next reuses, so a round
+/// allocates only while they grow to the largest queue seen.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// `(id, d_i)` of the queue's active rows, in row order.
+    active: Vec<(RequestId, f64)>,
+    /// Solver items, index-aligned with `active`.
+    items: Vec<Item>,
+    split_items: Vec<SplitItem>,
+    /// Memory guard: indices into `active` admitted by the solver.
+    admitted: Vec<usize>,
+    solve: schedule::Workspace,
 }
 
 /// The Contention Estimator.
@@ -97,6 +140,7 @@ pub struct ContentionEstimator {
     nominal_bw: f64,
     /// Storage-node memory available for kernel buffers, bytes.
     memory_capacity: f64,
+    scratch: Scratch,
 }
 
 impl ContentionEstimator {
@@ -117,153 +161,165 @@ impl ContentionEstimator {
             client_cores,
             nominal_bw,
             memory_capacity,
+            scratch: Scratch::default(),
         }
     }
 
     /// The cost model the CE plans with, given the probed load.
-    pub fn cost_model(&self, probe: &SystemProbe) -> CostModel {
-        let available = (1.0 - probe.background_cpu).clamp(0.05, 1.0);
-        let bw = probe.bandwidth_estimate.unwrap_or(self.nominal_bw);
-        CostModel::new(
-            bw,
-            self.kernel_cores * available,
+    pub fn cost_model(&self, probe: &SystemProbe<'_>) -> CostModel<'_> {
+        Self::model(
+            &self.rates,
+            self.kernel_cores,
             self.client_cores,
-            self.rates.clone(),
+            self.nominal_bw,
+            probe,
         )
     }
 
-    /// Generate the scheduling policy for the probed queue (paper Eq. 8).
-    pub fn generate_policy(&self, now: SimTime, probe: &SystemProbe) -> Policy {
-        // Active rows missing an op are malformed snapshot entries (possible
-        // when a probe raced a demotion); skip them rather than panic.
-        let rows: Vec<_> = probe
-            .queue
-            .requests
-            .iter()
-            .filter(|r| r.is_active() && r.op.is_some())
-            .collect();
-        if rows.is_empty() {
-            return Policy {
-                decisions: BTreeMap::new(),
-                fractions: BTreeMap::new(),
-                predicted_time: 0.0,
-                generated_at: now,
-            };
+    fn model<'r>(
+        rates: &'r OpRates,
+        kernel_cores: f64,
+        client_cores: f64,
+        nominal_bw: f64,
+        probe: &SystemProbe<'_>,
+    ) -> CostModel<'r> {
+        let available = (1.0 - probe.background_cpu).clamp(0.05, 1.0);
+        let bw = probe.bandwidth_estimate.unwrap_or(nominal_bw);
+        CostModel::new(bw, kernel_cores * available, client_cores, rates)
+    }
+
+    /// Generate the scheduling policy for the probed queue (paper Eq. 8)
+    /// into `out`, which is reset first; `out` and the estimator's own
+    /// buffers are reused, so a round allocates nothing once they have
+    /// grown.
+    pub fn generate_policy(&mut self, now: SimTime, probe: &SystemProbe<'_>, out: &mut Policy) {
+        out.reset(now);
+        let model = Self::model(
+            &self.rates,
+            self.kernel_cores,
+            self.client_cores,
+            self.nominal_bw,
+            probe,
+        );
+        let s = &mut self.scratch;
+        s.active.clear();
+        s.items.clear();
+        for row in &probe.queue.requests {
+            if let Some(op) = row.op {
+                s.active.push((row.id, row.bytes));
+                s.items.push(model.item(op, row.bytes));
+            }
         }
-        let specs: Vec<RequestSpec> = rows
-            .iter()
-            .map(|r| RequestSpec::new(r.bytes, r.op.as_deref().unwrap_or_default()))
-            .collect();
-        let model = self.cost_model(probe);
-        let items = model.items(&specs);
-        let mut assignment = schedule::solve(self.solver, &items);
+        if s.items.is_empty() {
+            return;
+        }
+        schedule::solve_into(self.solver, &s.items, &mut s.solve);
+        let assignment = &mut s.solve.assignment;
 
         // Memory guard: active kernels pin roughly their request buffers;
         // demote the largest admitted requests until the working set fits.
         let budget = (self.memory_capacity - probe.background_memory).max(0.0);
-        let mut admitted: Vec<usize> = (0..rows.len()).filter(|&i| assignment.active[i]).collect();
-        let mut pinned: f64 = admitted.iter().map(|&i| rows[i].bytes).sum();
+        s.admitted.clear();
+        s.admitted
+            .extend((0..s.active.len()).filter(|&i| assignment.active[i]));
+        let mut pinned: f64 = s.admitted.iter().map(|&i| s.active[i].1).sum();
         if pinned > budget {
-            admitted.sort_by(|&a, &b| {
-                rows[b]
-                    .bytes
-                    .partial_cmp(&rows[a].bytes)
+            // Largest first; equal sizes keep row order.
+            let active = &s.active;
+            s.admitted.sort_unstable_by(|&a, &b| {
+                active[b]
+                    .1
+                    .partial_cmp(&active[a].1)
                     .expect("finite size")
+                    .then(a.cmp(&b))
             });
-            for &i in &admitted {
+            for &i in &s.admitted {
                 if pinned <= budget {
                     break;
                 }
                 assignment.active[i] = false;
-                pinned -= rows[i].bytes;
+                pinned -= s.active[i].1;
             }
-            assignment.time = schedule::assignment_time(&items, &assignment.active);
+            assignment.time = schedule::assignment_time(&s.items, &assignment.active);
         }
 
-        let decisions = rows
-            .iter()
-            .zip(&assignment.active)
-            .map(|(row, &a)| {
-                (
-                    row.id,
-                    if a {
-                        Decision::Active
-                    } else {
-                        Decision::Normal
-                    },
-                )
-            })
-            .collect();
-        Policy {
-            decisions,
-            fractions: BTreeMap::new(),
-            predicted_time: assignment.time,
-            generated_at: now,
-        }
+        out.decisions.extend(
+            s.active
+                .iter()
+                .zip(&assignment.active)
+                .map(|(&(id, _), &a)| {
+                    (
+                        id,
+                        if a {
+                            Decision::Active
+                        } else {
+                            Decision::Normal
+                        },
+                    )
+                }),
+        );
+        out.predicted_time = assignment.time;
     }
 
     /// Partial-offload policy (extension): plan a storage-side fraction for
     /// every queued active request using the overlap-aware model of
-    /// [`crate::schedule::fractional`]. `p = 0` becomes a plain demotion.
-    pub fn generate_split_policy(&self, now: SimTime, probe: &SystemProbe) -> Policy {
-        use crate::schedule::fractional::{solve, SplitItem};
-        let rows: Vec<_> = probe
-            .queue
-            .requests
-            .iter()
-            .filter(|r| r.is_active() && r.op.is_some())
-            .collect();
-        if rows.is_empty() {
-            return Policy {
-                decisions: BTreeMap::new(),
-                fractions: BTreeMap::new(),
-                predicted_time: 0.0,
-                generated_at: now,
-            };
+    /// [`crate::schedule::fractional`], into `out` (reset first). `p = 0`
+    /// becomes a plain demotion.
+    pub fn generate_split_policy(
+        &mut self,
+        now: SimTime,
+        probe: &SystemProbe<'_>,
+        out: &mut Policy,
+    ) {
+        out.reset(now);
+        let model = Self::model(
+            &self.rates,
+            self.kernel_cores,
+            self.client_cores,
+            self.nominal_bw,
+            probe,
+        );
+        let s = &mut self.scratch;
+        s.active.clear();
+        s.split_items.clear();
+        for row in &probe.queue.requests {
+            if let Some(op) = row.op {
+                let per_core = self.rates.rate(op).per_core;
+                s.active.push((row.id, row.bytes));
+                s.split_items.push(SplitItem {
+                    bytes: row.bytes,
+                    storage_rate: per_core * model.storage_cores,
+                    compute_rate: per_core * model.compute_cores,
+                });
+            }
         }
-        let model = self.cost_model(probe);
-        let items: Vec<SplitItem> = rows
-            .iter()
-            .map(|r| {
-                let op = r.op.as_deref().unwrap_or_default();
-                SplitItem {
-                    bytes: r.bytes,
-                    storage_rate: model.storage_rate(op),
-                    compute_rate: model.compute_rate(op),
-                }
-            })
-            .collect();
-        let bw = probe.bandwidth_estimate.unwrap_or(self.nominal_bw);
-        let plan = solve(&items, bw);
-
-        let mut decisions = BTreeMap::new();
-        let mut fractions = BTreeMap::new();
-        for (row, &p) in rows.iter().zip(&plan.fractions) {
+        if s.split_items.is_empty() {
+            return;
+        }
+        // Every request gets the plan's common fraction.
+        let plan = fractional::solve(&s.split_items, model.bw);
+        let p = plan.fraction;
+        for &(id, _) in &s.active {
             if p <= 1e-9 {
-                decisions.insert(row.id, Decision::Normal);
+                out.decisions.push((id, Decision::Normal));
             } else {
-                decisions.insert(row.id, Decision::Active);
+                out.decisions.push((id, Decision::Active));
                 if p < 1.0 - 1e-9 {
-                    fractions.insert(row.id, p);
+                    out.fractions.push((id, p));
                 }
             }
         }
-        Policy {
-            decisions,
-            fractions,
-            predicted_time: plan.predicted,
-            generated_at: now,
-        }
+        out.predicted_time = plan.predicted;
     }
 
     /// Static comparison of the two pure schemes for one homogeneous batch —
     /// this is the "Algorithm Decision" column of Table IV.
-    pub fn static_decision(&self, op: &str, bytes: f64, n_requests: usize) -> Decision {
+    pub fn static_decision(&self, op: OpId, bytes: f64, n_requests: usize) -> Decision {
         let model = CostModel::new(
             self.nominal_bw,
             self.kernel_cores,
             self.client_cores,
-            self.rates.clone(),
+            &self.rates,
         );
         let sizes = vec![bytes; n_requests];
         let t_active = model.t_all_active(op, bytes * n_requests as f64, 0.0);
@@ -273,6 +329,11 @@ impl ContentionEstimator {
         } else {
             Decision::Normal
         }
+    }
+
+    /// The rate table the estimator plans with (to intern op names).
+    pub fn rates(&self) -> &OpRates {
+        &self.rates
     }
 }
 
@@ -440,17 +501,18 @@ mod tests {
         )
     }
 
-    fn probe_with(reqs: &[(u64, &str, f64)]) -> SystemProbe {
+    /// The queue of a data server holding `reqs` (`""` = a plain read).
+    fn queue_with(reqs: &[(u64, &str, f64)]) -> QueueSnapshot {
+        let rates = OpRates::paper();
         let mut ds = DataServer::new(cluster::NodeId(8));
         for &(id, op, bytes) in reqs {
             ds.arrive(
                 SimTime::ZERO,
                 QueuedRequest {
                     id: RequestId(id),
-                    kind: if op.is_empty() {
-                        IoKind::Normal
-                    } else {
-                        IoKind::Active { op: op.into() }
+                    kind: match rates.id(op) {
+                        Some(op) => IoKind::Active { op },
+                        None => IoKind::Normal,
                     },
                     bytes,
                     client: cluster::NodeId(0),
@@ -458,31 +520,38 @@ mod tests {
                 },
             );
         }
-        SystemProbe {
-            queue: ds.snapshot(SimTime::ZERO),
-            background_cpu: 0.0,
-            background_memory: 0.0,
-            bandwidth_estimate: None,
-        }
+        ds.snapshot(SimTime::ZERO)
+    }
+
+    fn binary(ce: &mut ContentionEstimator, probe: &SystemProbe<'_>) -> Policy {
+        let mut out = Policy::default();
+        ce.generate_policy(SimTime::ZERO, probe, &mut out);
+        out
+    }
+
+    fn split(ce: &mut ContentionEstimator, probe: &SystemProbe<'_>) -> Policy {
+        let mut out = Policy::default();
+        ce.generate_split_policy(SimTime::ZERO, probe, &mut out);
+        out
     }
 
     #[test]
     fn small_gaussian_batch_stays_active() {
-        let ce = estimator();
-        let probe = probe_with(&[
+        let mut ce = estimator();
+        let queue = queue_with(&[
             (0, "gaussian2d", 128.0 * MIB),
             (1, "gaussian2d", 128.0 * MIB),
         ]);
-        let p = ce.generate_policy(SimTime::ZERO, &probe);
+        let p = binary(&mut ce, &SystemProbe::of(&queue));
         assert_eq!(p.decisions.len(), 2);
         assert_eq!(p.active_count(), 2);
     }
 
     #[test]
     fn large_gaussian_batch_is_demoted() {
-        let ce = estimator();
+        let mut ce = estimator();
         let reqs: Vec<(u64, &str, f64)> = (0..16).map(|i| (i, "gaussian2d", 128.0 * MIB)).collect();
-        let p = ce.generate_policy(SimTime::ZERO, &probe_with(&reqs));
+        let p = binary(&mut ce, &SystemProbe::of(&queue_with(&reqs)));
         assert_eq!(
             p.normal_count(),
             16,
@@ -492,9 +561,9 @@ mod tests {
 
     #[test]
     fn sum_never_demoted() {
-        let ce = estimator();
+        let mut ce = estimator();
         let reqs: Vec<(u64, &str, f64)> = (0..64).map(|i| (i, "sum", 128.0 * MIB)).collect();
-        let p = ce.generate_policy(SimTime::ZERO, &probe_with(&reqs));
+        let p = binary(&mut ce, &SystemProbe::of(&queue_with(&reqs)));
         assert_eq!(
             p.active_count(),
             64,
@@ -504,11 +573,9 @@ mod tests {
 
     #[test]
     fn normal_requests_are_ignored() {
-        let ce = estimator();
-        let p = ce.generate_policy(
-            SimTime::ZERO,
-            &probe_with(&[(0, "", 128.0 * MIB), (1, "sum", 64.0 * MIB)]),
-        );
+        let mut ce = estimator();
+        let queue = queue_with(&[(0, "", 128.0 * MIB), (1, "sum", 64.0 * MIB)]);
+        let p = binary(&mut ce, &SystemProbe::of(&queue));
         assert_eq!(p.decisions.len(), 1);
         assert_eq!(p.decision(RequestId(1)), Decision::Active);
         // Unknown ids default to Active.
@@ -517,21 +584,25 @@ mod tests {
 
     #[test]
     fn background_cpu_shrinks_storage_capability() {
-        let ce = estimator();
-        let mut probe = probe_with(&[(0, "gaussian2d", 128.0 * MIB)]);
-        probe.background_cpu = 0.9;
+        let mut ce = estimator();
+        let queue = queue_with(&[(0, "gaussian2d", 128.0 * MIB)]);
+        let probe = SystemProbe {
+            background_cpu: 0.9,
+            ..SystemProbe::of(&queue)
+        };
+        let gaussian = ce.rates().id("gaussian2d").unwrap();
         let model = ce.cost_model(&probe);
         // 80 MB/s × 0.1 = 8 MB/s effective.
-        assert!((model.storage_rate("gaussian2d") / MIB - 8.0).abs() < 1e-6);
+        assert!((model.storage_rate(gaussian) / MIB - 8.0).abs() < 1e-6);
         // With 90% of the CPU gone even one Gaussian is better demoted:
         // 128/8 = 16 s active vs 128/118 + 128/80 ≈ 2.7 s normal.
-        let p = ce.generate_policy(SimTime::ZERO, &probe);
+        let p = binary(&mut ce, &probe);
         assert_eq!(p.decision(RequestId(0)), Decision::Normal);
     }
 
     #[test]
     fn memory_pressure_demotes_largest_requests() {
-        let ce = ContentionEstimator::new(
+        let mut ce = ContentionEstimator::new(
             SolverKind::Threshold,
             OpRates::paper(),
             1.0,
@@ -540,37 +611,42 @@ mod tests {
             300.0 * MIB, // tiny memory: fits ~2 of the 128 MB buffers
         );
         let reqs: Vec<(u64, &str, f64)> = (0..4).map(|i| (i, "sum", 128.0 * MIB)).collect();
-        let p = ce.generate_policy(SimTime::ZERO, &probe_with(&reqs));
+        let p = binary(&mut ce, &SystemProbe::of(&queue_with(&reqs)));
         assert_eq!(p.active_count(), 2, "only two buffers fit in memory");
+        // Equal sizes demote in row order: the first admitted go first.
+        assert_eq!(p.decision(RequestId(0)), Decision::Normal);
+        assert_eq!(p.decision(RequestId(3)), Decision::Active);
     }
 
     #[test]
     fn static_decision_matches_figure_2_crossover() {
         let ce = estimator();
+        let gaussian = ce.rates().id("gaussian2d").unwrap();
+        let sum = ce.rates().id("sum").unwrap();
         assert_eq!(
-            ce.static_decision("gaussian2d", 128.0 * MIB, 2),
+            ce.static_decision(gaussian, 128.0 * MIB, 2),
             Decision::Active
         );
         assert_eq!(
-            ce.static_decision("gaussian2d", 128.0 * MIB, 16),
+            ce.static_decision(gaussian, 128.0 * MIB, 16),
             Decision::Normal
         );
-        assert_eq!(ce.static_decision("sum", 128.0 * MIB, 64), Decision::Active);
+        assert_eq!(ce.static_decision(sum, 128.0 * MIB, 64), Decision::Active);
     }
 
     #[test]
     fn empty_queue_yields_empty_policy() {
-        let ce = estimator();
-        let p = ce.generate_policy(SimTime::ZERO, &probe_with(&[]));
+        let mut ce = estimator();
+        let p = binary(&mut ce, &SystemProbe::of(&queue_with(&[])));
         assert!(p.decisions.is_empty());
         assert_eq!(p.predicted_time, 0.0);
     }
 
     #[test]
     fn split_policy_balances_mid_contention() {
-        let ce = estimator();
+        let mut ce = estimator();
         let reqs: Vec<(u64, &str, f64)> = (0..8).map(|i| (i, "gaussian2d", 128.0 * MIB)).collect();
-        let p = ce.generate_split_policy(SimTime::ZERO, &probe_with(&reqs));
+        let p = split(&mut ce, &SystemProbe::of(&queue_with(&reqs)));
         assert_eq!(p.decisions.len(), 8);
         assert_eq!(p.active_count(), 8, "split mode keeps requests active");
         // Every request gets a genuine interior fraction.
@@ -584,20 +660,26 @@ mod tests {
 
     #[test]
     fn split_policy_keeps_cheap_kernels_whole() {
-        let ce = estimator();
-        let p = ce.generate_split_policy(SimTime::ZERO, &probe_with(&[(0, "sum", 128.0 * MIB)]));
+        let mut ce = estimator();
+        let queue = queue_with(&[(0, "sum", 128.0 * MIB)]);
+        let p = split(&mut ce, &SystemProbe::of(&queue));
         assert_eq!(p.fraction(RequestId(0)), 1.0, "sum never splits");
         assert!(p.fractions.is_empty());
     }
 
     #[test]
     fn split_policy_bandwidth_estimate_shifts_balance() {
-        let ce = estimator();
-        let mut probe = probe_with(&[(0, "gaussian2d", 128.0 * MIB); 1]);
-        // Re-id the request properly (probe_with used id 0).
-        let base = ce.generate_split_policy(SimTime::ZERO, &probe);
-        probe.bandwidth_estimate = Some(40.0 * MIB); // network collapsed
-        let degraded = ce.generate_split_policy(SimTime::ZERO, &probe);
+        let mut ce = estimator();
+        let queue = queue_with(&[(0, "gaussian2d", 128.0 * MIB)]);
+        let base = split(&mut ce, &SystemProbe::of(&queue));
+        // The network collapsed.
+        let degraded = split(
+            &mut ce,
+            &SystemProbe {
+                bandwidth_estimate: Some(40.0 * MIB),
+                ..SystemProbe::of(&queue)
+            },
+        );
         // With a slow network, more of the work should stay on storage.
         assert!(
             degraded.fraction(RequestId(0)) >= base.fraction(RequestId(0)),
@@ -607,12 +689,7 @@ mod tests {
 
     #[test]
     fn policy_fraction_defaults_to_one() {
-        let p = Policy {
-            decisions: BTreeMap::new(),
-            fractions: BTreeMap::new(),
-            predicted_time: 0.0,
-            generated_at: SimTime::ZERO,
-        };
+        let p = Policy::default();
         assert_eq!(p.fraction(RequestId(9)), 1.0);
     }
 

@@ -60,11 +60,14 @@ pub use driver::{
     AutopsyReport, CauseWait, CpSegment, CriticalPath, NodeWait, ReqHop, ReqStage, RequestAutopsy,
     TenantWait, WaitCause,
 };
-pub use driver::{ConfigError, Driver, DriverConfig, ExecMode, RunMetrics};
+pub use driver::{
+    ConfigError, DecisionRoundStats, Driver, DriverConfig, ExecMode, RunMetrics, RunProfile,
+};
 pub use driver::{TenantReport, TenantSloOutcome, TenantStats};
 pub use estimator::{
     CeStats, CeSupervisor, ContentionEstimator, Decision, Policy, ProbeVerdict, SystemProbe,
 };
+pub use pfs::OpId;
 pub use policy::{
     ContentionPolicy, PolicyConfig, PolicyInput, PolicyOutput, PolicyTelemetry, RateCap,
 };

@@ -150,6 +150,10 @@ impl RateCap {
 }
 
 /// One decision round's output.
+///
+/// The driver keeps one `PolicyOutput` and [`reset`](PolicyOutput::reset)s
+/// it before every round, so the buffers inside (decisions, fractions,
+/// caps) are reused rather than rebuilt.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyOutput {
     /// Offload/demotion decisions for the probed queue, executed by the
@@ -161,16 +165,26 @@ pub struct PolicyOutput {
     /// When the round's inputs were observed — delayed outputs older than
     /// the supervisor's staleness bound are discarded, like CE policies.
     pub generated_at: SimTime,
+    /// The previous round's offload policy, kept for its buffers.
+    spare: Option<Policy>,
 }
 
 impl PolicyOutput {
-    /// A round that changes nothing (still subject to delay/staleness).
-    pub fn noop(now: SimTime) -> Self {
-        PolicyOutput {
-            offload: None,
-            rate_caps: Vec::new(),
-            generated_at: now,
+    /// Start a new round at `now`: no offload, no caps, buffers kept.
+    pub fn reset(&mut self, now: SimTime) {
+        if let Some(policy) = self.offload.take() {
+            self.spare = Some(policy);
         }
+        self.rate_caps.clear();
+        self.generated_at = now;
+    }
+
+    /// Emit an offload policy this round: an empty policy stamped with the
+    /// round's time, reusing the previous round's buffers.
+    pub fn offload_mut(&mut self) -> &mut Policy {
+        let mut policy = self.spare.take().unwrap_or_default();
+        policy.reset(self.generated_at);
+        self.offload.insert(policy)
     }
 }
 
@@ -181,8 +195,24 @@ pub trait ContentionPolicy: Debug + Send {
     /// benchmark matrix.
     fn name(&self) -> &'static str;
 
-    /// One decision round for one probed server.
-    fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyOutput;
+    /// One decision round for one probed server, written into `out`, which
+    /// arrives [`reset`](PolicyOutput::reset) for `input.now` (no offload,
+    /// no caps). The input borrows the driver's snapshot; a round should
+    /// write into `out`'s buffers rather than build new ones.
+    fn decide(&mut self, input: &PolicyInput<'_>, out: &mut PolicyOutput);
+}
+
+/// Run one decision round into a fresh output (the driver reuses one
+/// output across rounds).
+#[cfg(test)]
+pub(crate) fn decide_once(
+    policy: &mut dyn ContentionPolicy,
+    input: &PolicyInput<'_>,
+) -> PolicyOutput {
+    let mut out = PolicyOutput::default();
+    out.reset(input.now);
+    policy.decide(input, &mut out);
+    out
 }
 
 /// World constants available to a policy at construction time.

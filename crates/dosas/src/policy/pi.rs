@@ -83,7 +83,7 @@ impl ContentionPolicy for PiGovernor {
         "pi"
     }
 
-    fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyOutput {
+    fn decide(&mut self, input: &PolicyInput<'_>, out: &mut PolicyOutput) {
         let ctl = self.loops.entry(input.server.0).or_default();
         let depth = input.queue.n as f64;
         let error = self.cfg.setpoint - depth;
@@ -97,7 +97,7 @@ impl ContentionPolicy for PiGovernor {
         let u = self.cfg.kp * error + self.cfg.ki * ctl.integral;
         let fraction = (1.0 + u).clamp(self.cfg.min_fraction, 1.0);
 
-        let mut caps = Vec::new();
+        let caps = &mut out.rate_caps;
         if fraction >= 1.0 {
             caps.extend(ctl.capped.iter().map(|&r| RateCap::lift(r)));
             ctl.capped.clear();
@@ -110,11 +110,6 @@ impl ContentionPolicy for PiGovernor {
             caps.extend(present.iter().map(|&r| RateCap::limit(r, share)));
             ctl.capped = present;
         }
-        PolicyOutput {
-            offload: None,
-            rate_caps: caps,
-            generated_at: input.now,
-        }
     }
 }
 
@@ -122,9 +117,9 @@ impl ContentionPolicy for PiGovernor {
 mod tests {
     use super::*;
     use crate::config::OpRates;
-    use crate::policy::{PolicyTelemetry, ReqMeta};
+    use crate::policy::{decide_once, PolicyTelemetry, ReqMeta};
     use cluster::NodeId;
-    use pfs::{QueueSnapshot, RequestId, SnapshotRow};
+    use pfs::{OpId, QueueSnapshot, RequestId, SnapshotRow};
 
     fn governor(nominal_bw: f64) -> PiGovernor {
         let rates = OpRates::paper();
@@ -142,36 +137,31 @@ mod tests {
     }
 
     fn decide_depth(p: &mut PiGovernor, server: usize, now: f64, ranks: &[usize]) -> PolicyOutput {
-        let rows: Vec<SnapshotRow> = ranks
-            .iter()
-            .enumerate()
-            .map(|(i, _)| SnapshotRow {
+        let mut queue = QueueSnapshot::default();
+        queue.refill(
+            SimTime::from_secs_f64(now),
+            (0..ranks.len()).map(|i| SnapshotRow {
                 id: RequestId(i as u64),
-                op: Some("sum".into()),
+                op: Some(OpId(0)),
                 bytes: 1e6,
-            })
-            .collect();
-        let queue = QueueSnapshot {
-            n: rows.len(),
-            k: rows.len(),
-            d_active: rows.iter().map(|r| r.bytes).sum(),
-            d_normal: 0.0,
-            requests: rows,
-            taken_at: SimTime::from_secs_f64(now),
-        };
+            }),
+        );
         let meta: Vec<ReqMeta> = ranks
             .iter()
             .map(|&rank| ReqMeta { rank, tenant: None })
             .collect();
         let telemetry = PolicyTelemetry::default();
-        p.decide(&PolicyInput {
-            server: NodeId(server),
-            now: SimTime::from_secs_f64(now),
-            queue: &queue,
-            meta: &meta,
-            bandwidth_estimate: None,
-            telemetry: &telemetry,
-        })
+        decide_once(
+            p,
+            &PolicyInput {
+                server: NodeId(server),
+                now: SimTime::from_secs_f64(now),
+                queue: &queue,
+                meta: &meta,
+                bandwidth_estimate: None,
+                telemetry: &telemetry,
+            },
+        )
     }
 
     #[test]

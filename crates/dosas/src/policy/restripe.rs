@@ -10,9 +10,8 @@
 //! servers keep their kernels. Emits no rate caps.
 
 use super::{ContentionPolicy, PolicyInput, PolicyOutput};
-use crate::estimator::{Decision, Policy};
+use crate::estimator::Decision;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Tunables for [`RestripePolicy`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,7 +55,7 @@ impl ContentionPolicy for RestripePolicy {
         "restripe"
     }
 
-    fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyOutput {
+    fn decide(&mut self, input: &PolicyInput<'_>, out: &mut PolicyOutput) {
         let lat = &input.telemetry.server_latency;
         let qualified = |samples: u64| samples >= self.cfg.min_samples;
         let Some(own) = lat
@@ -64,7 +63,7 @@ impl ContentionPolicy for RestripePolicy {
             .filter(|e| qualified(e.samples))
             .map(|e| e.ewma_secs)
         else {
-            return PolicyOutput::noop(input.now);
+            return;
         };
         // The fleet baseline needs at least one *other* qualified server:
         // a lone server has nobody to re-stripe relative to.
@@ -74,52 +73,32 @@ impl ContentionPolicy for RestripePolicy {
             .map(|(_, e)| e.ewma_secs)
             .fold(f64::INFINITY, f64::min);
         if !best_other.is_finite() || own <= self.cfg.threshold * best_other {
-            return PolicyOutput::noop(input.now);
+            return;
         }
-        let decisions: BTreeMap<_, _> = input
-            .queue
-            .requests
-            .iter()
-            .filter(|r| r.is_active())
-            .map(|r| (r.id, Decision::Normal))
-            .collect();
-        if decisions.is_empty() {
-            return PolicyOutput::noop(input.now);
+        let rows = &input.queue.requests;
+        if !rows.iter().any(|r| r.is_active()) {
+            return;
         }
-        PolicyOutput {
-            offload: Some(Policy {
-                decisions,
-                fractions: BTreeMap::new(),
-                predicted_time: 0.0,
-                generated_at: input.now,
-            }),
-            rate_caps: Vec::new(),
-            generated_at: input.now,
-        }
+        out.offload_mut().decisions.extend(
+            rows.iter()
+                .filter(|r| r.is_active())
+                .map(|r| (r.id, Decision::Normal)),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{PolicyTelemetry, ReqMeta};
+    use crate::policy::{decide_once, PolicyTelemetry, ReqMeta};
     use cluster::NodeId;
-    use pfs::{QueueSnapshot, RequestId, SnapshotRow};
+    use pfs::{OpId, QueueSnapshot, RequestId, SnapshotRow};
     use simkit::SimTime;
 
     fn queue_of(rows: Vec<SnapshotRow>) -> QueueSnapshot {
-        QueueSnapshot {
-            n: rows.len(),
-            k: rows.iter().filter(|r| r.is_active()).count(),
-            d_active: rows.iter().filter(|r| r.is_active()).map(|r| r.bytes).sum(),
-            d_normal: rows
-                .iter()
-                .filter(|r| !r.is_active())
-                .map(|r| r.bytes)
-                .sum(),
-            requests: rows,
-            taken_at: SimTime::ZERO,
-        }
+        let mut queue = QueueSnapshot::default();
+        queue.refill(SimTime::ZERO, rows);
+        queue
     }
 
     fn input_for<'a>(
@@ -148,7 +127,7 @@ mod tests {
         let rows = vec![
             SnapshotRow {
                 id: RequestId(7),
-                op: Some("sum".into()),
+                op: Some(OpId(0)),
                 bytes: 1e6,
             },
             SnapshotRow {
@@ -167,12 +146,12 @@ mod tests {
         ];
         let mut p = RestripePolicy::new(RestripeConfig::default());
 
-        let straggler = p.decide(&input_for(1, &queue, &meta, &telemetry));
+        let straggler = decide_once(&mut p, &input_for(1, &queue, &meta, &telemetry));
         let policy = straggler.offload.expect("straggler gets demotions");
         assert_eq!(policy.decisions.len(), 1, "only active rows are demoted");
-        assert_eq!(policy.decisions[&RequestId(7)], Decision::Normal);
+        assert_eq!(policy.decision(RequestId(7)), Decision::Normal);
 
-        let healthy = p.decide(&input_for(0, &queue, &meta, &telemetry));
+        let healthy = decide_once(&mut p, &input_for(0, &queue, &meta, &telemetry));
         assert!(healthy.offload.is_none(), "healthy server is untouched");
     }
 
@@ -180,7 +159,7 @@ mod tests {
     fn needs_samples_and_a_peer() {
         let queue = queue_of(vec![SnapshotRow {
             id: RequestId(1),
-            op: Some("sum".into()),
+            op: Some(OpId(0)),
             bytes: 1e6,
         }]);
         let meta = [ReqMeta {
@@ -195,8 +174,7 @@ mod tests {
         // Under min_samples: no verdict.
         let mut cold = PolicyTelemetry::default();
         cold.note_delivery(1, 9.0);
-        assert!(p
-            .decide(&input_for(1, &queue, &meta, &cold))
+        assert!(decide_once(&mut p, &input_for(1, &queue, &meta, &cold))
             .offload
             .is_none());
 
@@ -205,8 +183,7 @@ mod tests {
         for _ in 0..5 {
             lonely.note_delivery(1, 9.0);
         }
-        assert!(p
-            .decide(&input_for(1, &queue, &meta, &lonely))
+        assert!(decide_once(&mut p, &input_for(1, &queue, &meta, &lonely))
             .offload
             .is_none());
     }

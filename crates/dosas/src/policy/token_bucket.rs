@@ -108,10 +108,10 @@ impl ContentionPolicy for TokenBucketPolicy {
         "token-bucket"
     }
 
-    fn decide(&mut self, input: &PolicyInput<'_>) -> PolicyOutput {
+    fn decide(&mut self, input: &PolicyInput<'_>, out: &mut PolicyOutput) {
         let dt = (input.now - self.last_refill).as_secs_f64();
         self.last_refill = input.now;
-        let mut caps = Vec::new();
+        let caps = &mut out.rate_caps;
         for (tenant, b) in self.buckets.iter_mut() {
             let burst = b.rate * self.cfg.burst_secs;
             if dt > 0.0 {
@@ -139,11 +139,6 @@ impl ContentionPolicy for TokenBucketPolicy {
                 caps.extend(b.ranks.iter().map(|&r| RateCap::lift(r)));
             }
         }
-        PolicyOutput {
-            offload: None,
-            rate_caps: caps,
-            generated_at: input.now,
-        }
     }
 }
 
@@ -151,28 +146,24 @@ impl ContentionPolicy for TokenBucketPolicy {
 mod tests {
     use super::*;
     use crate::config::{OpRates, TenantSlo};
-    use crate::policy::{PolicyTelemetry, ReqMeta};
+    use crate::policy::{decide_once, PolicyTelemetry, ReqMeta};
     use cluster::NodeId;
     use pfs::QueueSnapshot;
 
     fn decide_at(p: &mut TokenBucketPolicy, now: f64, telemetry: &PolicyTelemetry) -> PolicyOutput {
-        let queue = QueueSnapshot {
-            n: 0,
-            k: 0,
-            d_active: 0.0,
-            d_normal: 0.0,
-            requests: vec![],
-            taken_at: SimTime::from_secs_f64(now),
-        };
+        let queue = QueueSnapshot::default();
         let meta: Vec<ReqMeta> = vec![];
-        p.decide(&PolicyInput {
-            server: NodeId(0),
-            now: SimTime::from_secs_f64(now),
-            queue: &queue,
-            meta: &meta,
-            bandwidth_estimate: None,
-            telemetry,
-        })
+        decide_once(
+            p,
+            &PolicyInput {
+                server: NodeId(0),
+                now: SimTime::from_secs_f64(now),
+                queue: &queue,
+                meta: &meta,
+                bandwidth_estimate: None,
+                telemetry,
+            },
+        )
     }
 
     #[test]

@@ -13,8 +13,16 @@
 //! The runtime tracks states and validates transitions; the simulation
 //! driver charges the actual disk/CPU/network time against the `cluster`
 //! resources.
+//!
+//! It also keeps the node's **plannable-row index**: the requests a
+//! decision round may still re-plan (queued at the disk or running a
+//! kernel), in ascending [`RequestId`], each with the fields the round
+//! reads. The index is updated on the stage transitions that enter or
+//! leave those stages, so a round reads its rows in one pass with no
+//! per-row map lookup.
 
-use pfs::RequestId;
+use crate::estimator::{Decision, Policy};
+use pfs::{OpId, RequestId, SnapshotRow};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -48,7 +56,7 @@ pub enum ServiceMode {
 }
 
 /// Actions the runtime instructs the driver to take after a policy update.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeAction {
     /// Change a queued active request to normal service.
     Demote(RequestId),
@@ -86,6 +94,48 @@ impl std::fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+/// What a decision round needs to know about a request, handed to the
+/// runtime when the request enters the plannable stages.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RequestInfo {
+    /// The requested kernel, `None` for a plain read.
+    pub op: Option<OpId>,
+    /// `d_i` in bytes.
+    pub bytes: f64,
+    /// Issuing rank.
+    pub rank: usize,
+    /// The rank's tenant, when the workload is tenanted.
+    pub tenant: Option<usize>,
+}
+
+/// One row of the plannable-row index: a request queued at the disk or
+/// running its kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanRow {
+    pub id: RequestId,
+    /// The kernel while the request is still served as active I/O; `None`
+    /// for plain reads and once demoted.
+    pub op: Option<OpId>,
+    pub bytes: f64,
+    pub rank: usize,
+    pub tenant: Option<usize>,
+    /// Running its kernel (else queued at the disk).
+    running: bool,
+    /// Planned partial-offload fraction (extension); 1.0 = run fully.
+    split: f64,
+}
+
+impl PlanRow {
+    /// The row as the probed queue shows it.
+    pub fn snapshot_row(&self) -> SnapshotRow {
+        SnapshotRow {
+            id: self.id,
+            op: self.op,
+            bytes: self.bytes,
+        }
+    }
+}
 
 #[derive(Debug, Clone)]
 struct Tracked {
@@ -129,6 +179,9 @@ impl RuntimeCounters {
 #[derive(Debug, Clone, Default)]
 pub struct ActiveIoRuntime {
     requests: BTreeMap<RequestId, Tracked>,
+    /// The plannable-row index: every tracked request in stage
+    /// `QueuedDisk` or `Running`, in ascending id.
+    plannable: Vec<PlanRow>,
     pub counters: RuntimeCounters,
 }
 
@@ -157,6 +210,61 @@ impl ActiveIoRuntime {
         }
     }
 
+    /// The plannable rows — queued at the disk or running a kernel — in
+    /// ascending id: what a decision round may still re-plan.
+    pub fn plannable(&self) -> &[PlanRow] {
+        &self.plannable
+    }
+
+    /// Planned partial-offload fraction of a running request (1.0 when
+    /// it runs fully).
+    pub fn planned_split(&self, id: RequestId) -> f64 {
+        let i = self.row(id).expect("running request is indexed");
+        self.plannable[i].split
+    }
+
+    /// Record a round's planned fractions on the requests still queued at
+    /// the disk (plans are re-tunable until the disk read completes).
+    pub fn plan_splits(&mut self, fractions: &[(RequestId, f64)]) {
+        for &(id, p) in fractions {
+            if let Some(i) = self.row(id) {
+                let row = &mut self.plannable[i];
+                if !row.running {
+                    row.split = p;
+                }
+            }
+        }
+    }
+
+    fn row(&self, id: RequestId) -> Option<usize> {
+        self.plannable.binary_search_by_key(&id, |r| r.id).ok()
+    }
+
+    /// `id` enters the index queued at the disk, as served in `mode`.
+    fn enter_plannable(&mut self, id: RequestId, info: RequestInfo, mode: ServiceMode) {
+        let at = self
+            .plannable
+            .binary_search_by_key(&id, |r| r.id)
+            .expect_err("request indexed twice");
+        self.plannable.insert(
+            at,
+            PlanRow {
+                id,
+                op: info.op.filter(|_| mode == ServiceMode::Active),
+                bytes: info.bytes,
+                rank: info.rank,
+                tenant: info.tenant,
+                running: false,
+                split: 1.0,
+            },
+        );
+    }
+
+    fn leave_plannable(&mut self, id: RequestId) {
+        let i = self.row(id).expect("plannable request is indexed");
+        self.plannable.remove(i);
+    }
+
     pub fn stage(&self, id: RequestId) -> Option<ServerStage> {
         self.requests.get(&id).map(|t| t.stage)
     }
@@ -166,12 +274,8 @@ impl ActiveIoRuntime {
     }
 
     /// Requests currently running kernels.
-    pub fn running(&self) -> Vec<RequestId> {
-        self.requests
-            .iter()
-            .filter(|(_, t)| t.stage == ServerStage::Running)
-            .map(|(&id, _)| id)
-            .collect()
+    pub fn running(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.plannable.iter().filter(|r| r.running).map(|r| r.id)
     }
 
     fn tracked(&mut self, id: RequestId) -> &mut Tracked {
@@ -180,11 +284,14 @@ impl ActiveIoRuntime {
             .unwrap_or_else(|| panic!("request {id:?} not tracked"))
     }
 
-    /// Arrival at the server: the disk read is submitted.
-    pub fn on_arrival(&mut self, id: RequestId) {
+    /// Arrival at the server: the disk read is submitted and the request
+    /// becomes plannable.
+    pub fn on_arrival(&mut self, id: RequestId, info: RequestInfo) {
         let t = self.tracked(id);
         assert_eq!(t.stage, ServerStage::InFlight, "{id:?}");
         t.stage = ServerStage::QueuedDisk;
+        let mode = t.mode;
+        self.enter_plannable(id, info, mode);
     }
 
     /// Disk read finished. Returns the service mode that must now proceed:
@@ -192,11 +299,19 @@ impl ActiveIoRuntime {
     pub fn on_disk_done(&mut self, id: RequestId) -> ServiceMode {
         let t = self.tracked(id);
         assert_eq!(t.stage, ServerStage::QueuedDisk, "{id:?}");
-        match t.mode {
-            ServiceMode::Active => t.stage = ServerStage::Running,
-            ServiceMode::Normal | ServiceMode::Migrated => t.stage = ServerStage::SendingData,
+        let mode = t.mode;
+        match mode {
+            ServiceMode::Active => {
+                t.stage = ServerStage::Running;
+                let i = self.row(id).expect("queued request is indexed");
+                self.plannable[i].running = true;
+            }
+            ServiceMode::Normal | ServiceMode::Migrated => {
+                t.stage = ServerStage::SendingData;
+                self.leave_plannable(id);
+            }
         }
-        t.mode
+        mode
     }
 
     /// Kernel finished; result transfer begins.
@@ -204,6 +319,7 @@ impl ActiveIoRuntime {
         let t = self.tracked(id);
         assert_eq!(t.stage, ServerStage::Running, "{id:?}");
         t.stage = ServerStage::SendingResult;
+        self.leave_plannable(id);
     }
 
     /// Kernel reached its *planned* partial-offload point: checkpoint and
@@ -216,6 +332,7 @@ impl ActiveIoRuntime {
         t.mode = ServiceMode::Migrated;
         t.stage = ServerStage::SendingData;
         self.counters.split += 1;
+        self.leave_plannable(id);
     }
 
     /// Final transfer delivered; the request leaves the runtime.
@@ -250,9 +367,13 @@ impl ActiveIoRuntime {
     /// injection): the data + state never reached the client. The request
     /// falls back to plain data shipping — it re-enters the disk queue as a
     /// `Normal` request so the raw bytes can be re-read and re-shipped
-    /// without kernel state. Any partial kernel progress is discarded by the
-    /// caller (processed bytes reset).
-    pub fn on_checkpoint_failed(&mut self, id: RequestId) -> Result<(), RuntimeError> {
+    /// without kernel state, plannable again. Any partial kernel progress is
+    /// discarded by the caller (processed bytes reset).
+    pub fn on_checkpoint_failed(
+        &mut self,
+        id: RequestId,
+        info: RequestInfo,
+    ) -> Result<(), RuntimeError> {
         let t = self
             .requests
             .get_mut(&id)
@@ -267,21 +388,23 @@ impl ActiveIoRuntime {
         t.stage = ServerStage::QueuedDisk;
         t.mode = ServiceMode::Normal;
         self.counters.checkpoint_failures += 1;
+        self.enter_plannable(id, info, ServiceMode::Normal);
         Ok(())
     }
 
     /// Apply a CE policy: which queued requests to demote and which running
-    /// kernels to interrupt. `allow_interrupt = false` restricts R to acting
-    /// on not-yet-started requests (ablation).
+    /// kernels to interrupt, pushed onto `actions` in decision order.
+    /// `allow_interrupt = false` restricts R to acting on not-yet-started
+    /// requests (ablation). Only `Normal` decisions touch the request
+    /// table; `Active` ones are skipped without a lookup.
     pub fn apply_policy(
         &mut self,
-        policy: &crate::estimator::Policy,
+        policy: &Policy,
         allow_interrupt: bool,
-    ) -> Vec<RuntimeAction> {
-        use crate::estimator::Decision;
-        let mut actions = Vec::new();
-        for (&id, decision) in &policy.decisions {
-            if *decision != Decision::Normal {
+        actions: &mut Vec<RuntimeAction>,
+    ) {
+        for &(id, decision) in &policy.decisions {
+            if decision != Decision::Normal {
                 continue;
             }
             let Some(t) = self.requests.get_mut(&id) else {
@@ -290,20 +413,25 @@ impl ActiveIoRuntime {
             match (t.stage, t.mode) {
                 (ServerStage::InFlight | ServerStage::QueuedDisk, ServiceMode::Active) => {
                     t.mode = ServiceMode::Normal;
+                    let queued = t.stage == ServerStage::QueuedDisk;
                     self.counters.demoted += 1;
                     actions.push(RuntimeAction::Demote(id));
+                    if queued {
+                        let i = self.row(id).expect("queued request is indexed");
+                        self.plannable[i].op = None;
+                    }
                 }
                 (ServerStage::Running, ServiceMode::Active) if allow_interrupt => {
                     t.mode = ServiceMode::Migrated;
                     t.stage = ServerStage::SendingData;
                     self.counters.interrupted += 1;
                     actions.push(RuntimeAction::Interrupt(id));
+                    self.leave_plannable(id);
                 }
                 // Too late (already sending) or already normal: no-op.
                 _ => {}
             }
         }
-        actions
     }
 
     pub fn tracked_count(&self) -> usize {
@@ -321,28 +449,37 @@ impl ActiveIoRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::{Decision, Policy};
     use proptest::prelude::*;
-    use simkit::SimTime;
-    use std::collections::BTreeMap;
 
     fn policy(entries: &[(u64, Decision)]) -> Policy {
         Policy {
-            decisions: entries
-                .iter()
-                .map(|&(id, d)| (RequestId(id), d))
-                .collect::<BTreeMap<_, _>>(),
-            fractions: BTreeMap::new(),
-            predicted_time: 0.0,
-            generated_at: SimTime::ZERO,
+            decisions: entries.iter().map(|&(id, d)| (RequestId(id), d)).collect(),
+            ..Policy::default()
         }
+    }
+
+    /// A 1 MB request of rank 0 running op 0 when served as active I/O.
+    fn info() -> RequestInfo {
+        RequestInfo {
+            op: Some(OpId(0)),
+            bytes: 1e6,
+            rank: 0,
+            tenant: None,
+        }
+    }
+
+    /// Apply `policy` and return the actions it produced.
+    fn apply(r: &mut ActiveIoRuntime, policy: &Policy, allow: bool) -> Vec<RuntimeAction> {
+        let mut actions = Vec::new();
+        r.apply_policy(policy, allow, &mut actions);
+        actions
     }
 
     #[test]
     fn active_request_happy_path() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         assert_eq!(r.on_disk_done(RequestId(0)), ServiceMode::Active);
         r.on_kernel_done(RequestId(0));
         assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Active);
@@ -354,7 +491,7 @@ mod tests {
     fn normal_request_skips_kernel() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(1), false);
-        r.on_arrival(RequestId(1));
+        r.on_arrival(RequestId(1), info());
         assert_eq!(r.on_disk_done(RequestId(1)), ServiceMode::Normal);
         assert_eq!(r.stage(RequestId(1)), Some(ServerStage::SendingData));
         r.on_delivered(RequestId(1));
@@ -365,8 +502,8 @@ mod tests {
     fn demotion_before_disk_read() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
-        let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        r.on_arrival(RequestId(0), info());
+        let actions = apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
         assert_eq!(actions, vec![RuntimeAction::Demote(RequestId(0))]);
         assert_eq!(r.counters.demoted, 1);
         // Disk completion now routes to data shipping.
@@ -379,10 +516,10 @@ mod tests {
     fn interruption_of_running_kernel() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         r.on_disk_done(RequestId(0));
-        assert_eq!(r.running(), vec![RequestId(0)]);
-        let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        assert_eq!(r.running().collect::<Vec<_>>(), vec![RequestId(0)]);
+        let actions = apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
         assert_eq!(actions, vec![RuntimeAction::Interrupt(RequestId(0))]);
         assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Migrated));
         assert_eq!(r.on_delivered(RequestId(0)), ServiceMode::Migrated);
@@ -394,7 +531,7 @@ mod tests {
     fn planned_split_transitions_like_interruption() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         r.on_disk_done(RequestId(0));
         r.on_kernel_split(RequestId(0));
         assert_eq!(r.stage(RequestId(0)), Some(ServerStage::SendingData));
@@ -407,9 +544,9 @@ mod tests {
     fn interruption_disabled_leaves_kernel_running() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         r.on_disk_done(RequestId(0));
-        let actions = r.apply_policy(&policy(&[(0, Decision::Normal)]), false);
+        let actions = apply(&mut r, &policy(&[(0, Decision::Normal)]), false);
         assert!(actions.is_empty());
         assert_eq!(r.stage(RequestId(0)), Some(ServerStage::Running));
     }
@@ -418,15 +555,15 @@ mod tests {
     fn active_decision_is_noop() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
-        let actions = r.apply_policy(&policy(&[(0, Decision::Active)]), true);
+        r.on_arrival(RequestId(0), info());
+        let actions = apply(&mut r, &policy(&[(0, Decision::Active)]), true);
         assert!(actions.is_empty());
     }
 
     #[test]
     fn policy_for_unknown_request_is_ignored() {
         let mut r = ActiveIoRuntime::new();
-        let actions = r.apply_policy(&policy(&[(42, Decision::Normal)]), true);
+        let actions = apply(&mut r, &policy(&[(42, Decision::Normal)]), true);
         assert!(actions.is_empty());
     }
 
@@ -434,9 +571,9 @@ mod tests {
     fn double_demotion_is_idempotent() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
-        r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
-        let again = r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        r.on_arrival(RequestId(0), info());
+        apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
+        let again = apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
         assert!(again.is_empty());
         assert_eq!(r.counters.demoted, 1);
     }
@@ -453,19 +590,19 @@ mod tests {
     #[should_panic(expected = "not tracked")]
     fn transition_without_tracking_panics() {
         let mut r = ActiveIoRuntime::new();
-        r.on_arrival(RequestId(5));
+        r.on_arrival(RequestId(5), info());
     }
 
     #[test]
     fn checkpoint_failure_requeues_as_normal() {
         let mut r = ActiveIoRuntime::new();
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         r.on_disk_done(RequestId(0));
-        r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
         assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Migrated));
         // The checkpoint shipment dies in flight.
-        r.on_checkpoint_failed(RequestId(0)).unwrap();
+        r.on_checkpoint_failed(RequestId(0), info()).unwrap();
         assert_eq!(r.stage(RequestId(0)), Some(ServerStage::QueuedDisk));
         assert_eq!(r.mode(RequestId(0)), Some(ServiceMode::Normal));
         assert_eq!(r.counters.checkpoint_failures, 1);
@@ -479,14 +616,14 @@ mod tests {
     fn checkpoint_failure_rejects_wrong_states() {
         let mut r = ActiveIoRuntime::new();
         assert_eq!(
-            r.on_checkpoint_failed(RequestId(3)),
+            r.on_checkpoint_failed(RequestId(3), info()),
             Err(RuntimeError::NotTracked(RequestId(3)))
         );
         r.track(RequestId(0), true);
-        r.on_arrival(RequestId(0));
+        r.on_arrival(RequestId(0), info());
         // QueuedDisk/Active is not a failable shipment.
         assert_eq!(
-            r.on_checkpoint_failed(RequestId(0)),
+            r.on_checkpoint_failed(RequestId(0), info()),
             Err(RuntimeError::InvalidTransition {
                 id: RequestId(0),
                 stage: ServerStage::QueuedDisk,
@@ -494,9 +631,9 @@ mod tests {
             })
         );
         // Neither is a plain demoted data shipment (no checkpoint aboard).
-        r.apply_policy(&policy(&[(0, Decision::Normal)]), true);
+        apply(&mut r, &policy(&[(0, Decision::Normal)]), true);
         r.on_disk_done(RequestId(0));
-        assert!(r.on_checkpoint_failed(RequestId(0)).is_err());
+        assert!(r.on_checkpoint_failed(RequestId(0), info()).is_err());
         assert_eq!(r.counters.checkpoint_failures, 0);
     }
 
@@ -544,7 +681,7 @@ mod tests {
                 let stage = r.stage(id).unwrap();
                 let mode = r.mode(id).unwrap();
                 match cmd {
-                    0 if stage == ServerStage::InFlight => r.on_arrival(id),
+                    0 if stage == ServerStage::InFlight => r.on_arrival(id, info()),
                     1 if stage == ServerStage::QueuedDisk => {
                         let served = r.on_disk_done(id);
                         prop_assert_eq!(served, mode);
@@ -557,12 +694,12 @@ mod tests {
                         // Policy flips to Normal; allow_interrupt alternates
                         // with the command parity of the stage.
                         let allow = stage != ServerStage::SendingResult;
-                        r.apply_policy(&policy(&[(0, Decision::Normal)]), allow);
+                        apply(&mut r, &policy(&[(0, Decision::Normal)]), allow);
                     }
                     5 => {
                         let failable = stage == ServerStage::SendingData
                             && mode == ServiceMode::Migrated;
-                        let res = r.on_checkpoint_failed(id);
+                        let res = r.on_checkpoint_failed(id, info());
                         prop_assert_eq!(res.is_ok(), failable);
                     }
                     6 if matches!(
@@ -584,6 +721,20 @@ mod tests {
                         m,
                         cmd
                     );
+                    // The plannable-row index mirrors the state machine:
+                    // indexed exactly while queued or running, showing the
+                    // op exactly while still served as active I/O.
+                    let row = r.plannable().iter().find(|row| row.id == id);
+                    prop_assert_eq!(
+                        row.is_some(),
+                        matches!(s, ServerStage::QueuedDisk | ServerStage::Running)
+                    );
+                    if let Some(row) = row {
+                        prop_assert_eq!(row.op.is_some(), m == ServiceMode::Active);
+                        prop_assert_eq!(row.running, s == ServerStage::Running);
+                    }
+                } else {
+                    prop_assert!(r.plannable().is_empty());
                 }
             }
             let c = r.counters;

@@ -45,7 +45,7 @@ impl Scenario {
     /// Like [`run`](Self::run), but also returns the per-subsystem
     /// wall-clock dispatch profile (`scenario --obs-out` ships it as
     /// `profile.json`).
-    pub fn run_profiled(&self) -> (crate::RunMetrics, simkit::ExecProfile) {
+    pub fn run_profiled(&self) -> (crate::RunMetrics, crate::RunProfile) {
         crate::Driver::run_profiled(self.cfg.clone(), &self.workload, crate::ExecMode::Serial)
     }
 }

@@ -26,7 +26,7 @@
 use serde::{Deserialize, Serialize};
 
 /// One request as the fractional planner sees it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitItem {
     /// Request size `d_i` in bytes.
     pub bytes: f64,
@@ -36,12 +36,13 @@ pub struct SplitItem {
     pub compute_rate: f64,
 }
 
-/// The planner's output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The planner's output: one storage fraction shared by every request of
+/// the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SplitPlan {
-    /// Fraction of each request's data processed on the storage node,
-    /// in `[0, 1]` (same order as the input items).
-    pub fractions: Vec<f64>,
+    /// Fraction of each request's data processed on the storage node, in
+    /// `[0, 1]` (0 for an empty batch).
+    pub fraction: f64,
     /// Predicted makespan under the overlap model.
     pub predicted: f64,
 }
@@ -49,12 +50,12 @@ pub struct SplitPlan {
 impl SplitPlan {
     /// True if the plan degenerates to pure active storage.
     pub fn is_all_storage(&self) -> bool {
-        self.fractions.iter().all(|&p| p >= 1.0 - 1e-12)
+        self.fraction >= 1.0 - 1e-12
     }
 
     /// True if the plan degenerates to traditional storage.
     pub fn is_all_client(&self) -> bool {
-        self.fractions.iter().all(|&p| p <= 1e-12)
+        self.fraction <= 1e-12
     }
 }
 
@@ -74,13 +75,13 @@ pub fn predict(items: &[SplitItem], bw: f64, p: f64) -> f64 {
 ///
 /// A single `p` is exact for homogeneous batches (the paper's experimental
 /// setting); for heterogeneous batches it is a good heuristic because all
-/// requests share the same two bottlenecks. Returns the per-request
-/// fractions (currently all equal) and the predicted makespan.
+/// requests share the same two bottlenecks. Returns that fraction and the
+/// predicted makespan.
 pub fn solve(items: &[SplitItem], bw: f64) -> SplitPlan {
     assert!(bw.is_finite() && bw > 0.0);
     if items.is_empty() {
         return SplitPlan {
-            fractions: Vec::new(),
+            fraction: 0.0,
             predicted: 0.0,
         };
     }
@@ -94,24 +95,21 @@ pub fn solve(items: &[SplitItem], bw: f64) -> SplitPlan {
     // with A = Σ d_i/S_i and B = Σ d_i/bw.
     let a: f64 = items.iter().map(|i| i.bytes / i.storage_rate).sum();
     let b: f64 = items.iter().map(|i| i.bytes / bw).sum();
-    let mut candidates = vec![0.0, 1.0];
-    if a + b > 0.0 {
-        candidates.push((b / (a + b)).clamp(0.0, 1.0));
-    }
+    let balance = (a + b > 0.0).then(|| (b / (a + b)).clamp(0.0, 1.0));
     // The client tail kinks T(p) once per distinct d_i/C_i at the point
     // where the tail overtakes the busy terms; with a common p the tail is
     // linear, so the three candidates above cover every vertex of the
     // piecewise-linear objective... except where max() switches sides,
     // which is exactly the balance point already included.
-    let (best_p, best_t) = candidates
+    let (fraction, predicted) = [0.0, 1.0]
         .into_iter()
+        .chain(balance)
         .map(|p| (p, predict(items, bw, p)))
         .min_by(|x, y| x.1.partial_cmp(&y.1).expect("finite times"))
         .expect("non-empty candidates");
-
     SplitPlan {
-        fractions: vec![best_p; items.len()],
-        predicted: best_t,
+        fraction,
+        predicted,
     }
 }
 
@@ -136,7 +134,6 @@ mod tests {
     #[test]
     fn empty_batch_is_trivial() {
         let plan = solve(&[], 118.0 * MIB);
-        assert!(plan.fractions.is_empty());
         assert_eq!(plan.predicted, 0.0);
     }
 
@@ -163,7 +160,7 @@ mod tests {
         let t_all_client = predict(&items, bw, 0.0);
         assert!(plan.predicted < t_all_storage * 0.8, "{plan:?}");
         assert!(plan.predicted < t_all_client * 0.8, "{plan:?}");
-        let p = plan.fractions[0];
+        let p = plan.fraction;
         assert!(p > 0.2 && p < 0.8, "expected a genuine split, got p={p}");
     }
 
@@ -171,8 +168,7 @@ mod tests {
     fn balance_point_equalizes_busy_times() {
         let items = gaussian_batch(4, 256.0);
         let bw = 118.0 * MIB;
-        let plan = solve(&items, bw);
-        let p = plan.fractions[0];
+        let p = solve(&items, bw).fraction;
         let storage: f64 = items.iter().map(|i| p * i.bytes / i.storage_rate).sum();
         let network: f64 = items.iter().map(|i| (1.0 - p) * i.bytes / bw).sum();
         assert!(
@@ -186,7 +182,7 @@ mod tests {
         let items = gaussian_batch(3, 128.0);
         let bw = 118.0 * MIB;
         let plan = solve(&items, bw);
-        let re = predict(&items, bw, plan.fractions[0]);
+        let re = predict(&items, bw, plan.fraction);
         assert!((plan.predicted - re).abs() < 1e-9);
     }
 
@@ -194,10 +190,8 @@ mod tests {
     fn fractions_always_in_unit_interval() {
         for n in [1usize, 2, 7, 64] {
             for mb in [32.0, 128.0, 1024.0] {
-                let plan = solve(&gaussian_batch(n, mb), 118.0 * MIB);
-                for &p in &plan.fractions {
-                    assert!((0.0..=1.0).contains(&p));
-                }
+                let p = solve(&gaussian_batch(n, mb), 118.0 * MIB).fraction;
+                assert!((0.0..=1.0).contains(&p));
             }
         }
     }
@@ -230,7 +224,7 @@ mod tests {
             },
         ];
         let plan = solve(&items, 118.0 * MIB);
-        assert_eq!(plan.fractions.len(), 2);
+        assert!((0.0..=1.0).contains(&plan.fraction));
         assert!(plan.predicted > 0.0);
     }
 }

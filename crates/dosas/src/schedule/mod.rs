@@ -35,7 +35,7 @@ use crate::cost::Item;
 use serde::{Deserialize, Serialize};
 
 /// A solved offloading decision.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Assignment {
     /// `active[i] == true` ⇔ request `i` is served as active I/O.
     pub active: Vec<bool>,
@@ -99,20 +99,39 @@ pub fn assignment_time(items: &[Item], active: &[bool]) -> f64 {
     t + z
 }
 
+/// Buffers a solver reuses across calls of [`solve_into`]: the solved
+/// assignment plus the default solver's sort order. A decision round that
+/// keeps one `Workspace` solves without allocating once the buffers have
+/// grown to the largest queue seen.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    /// The last solve's result.
+    pub assignment: Assignment,
+    order: Vec<usize>,
+}
+
 /// Solve with the chosen solver.
 pub fn solve(kind: SolverKind, items: &[Item]) -> Assignment {
+    let mut ws = Workspace::default();
+    solve_into(kind, items, &mut ws);
+    ws.assignment
+}
+
+/// Solve into `ws.assignment`, reusing `ws`'s buffers. The production
+/// [`threshold`] solver allocates nothing here; the others build a fresh
+/// assignment.
+pub fn solve_into(kind: SolverKind, items: &[Item], ws: &mut Workspace) {
     if items.is_empty() {
-        return Assignment {
-            active: Vec::new(),
-            time: 0.0,
-        };
+        ws.assignment.active.clear();
+        ws.assignment.time = 0.0;
+        return;
     }
     match kind {
-        SolverKind::Exhaustive => exhaustive::solve(items),
-        SolverKind::Matrix => matrix::solve(items),
-        SolverKind::Threshold => threshold::solve(items),
-        SolverKind::BranchAndBound => bnb::solve(items),
-        SolverKind::Greedy => greedy::solve(items),
+        SolverKind::Exhaustive => ws.assignment = exhaustive::solve(items),
+        SolverKind::Matrix => ws.assignment = matrix::solve(items),
+        SolverKind::Threshold => threshold::solve_with(items, &mut ws.order, &mut ws.assignment),
+        SolverKind::BranchAndBound => ws.assignment = bnb::solve(items),
+        SolverKind::Greedy => ws.assignment = greedy::solve(items),
     }
 }
 

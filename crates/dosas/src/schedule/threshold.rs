@@ -18,20 +18,30 @@ use crate::cost::Item;
 
 /// Solve exactly in `O(k log k)`.
 pub fn solve(items: &[Item]) -> Assignment {
+    let mut out = Assignment::default();
+    solve_with(items, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`solve`] into `out`, with `order` as the sort buffer: both keep their
+/// allocations across calls.
+pub fn solve_with(items: &[Item], order: &mut Vec<usize>, out: &mut Assignment) {
     let k = items.len();
+    out.active.clear();
+    out.active.resize(k, true);
     if k == 0 {
-        return Assignment {
-            active: Vec::new(),
-            time: 0.0,
-        };
+        out.time = 0.0;
+        return;
     }
 
     // Baseline: everything active.
     let all_active_time: f64 = items.iter().map(|i| i.x).sum();
 
-    // Candidates sorted by z ascending (index into `items`).
-    let mut order: Vec<usize> = (0..k).collect();
-    order.sort_by(|&a, &b| {
+    // Candidates sorted by z ascending (index into `items`); indices break
+    // ties, so the unstable sort is deterministic.
+    order.clear();
+    order.extend(0..k);
+    order.sort_unstable_by(|&a, &b| {
         items[a]
             .z
             .partial_cmp(&items[b].z)
@@ -45,9 +55,9 @@ pub fn solve(items: &[Item]) -> Assignment {
     //             + z_m
     // where delta_i = y_i − x_i.
     let mut best_time = all_active_time;
-    let mut best_m: Option<usize> = None;
+    let mut best_pos: Option<usize> = None;
     let mut neg_prefix = 0.0; // Σ of negative deltas among positions ≤ current
-    for &m in &order {
+    for (pos, &m) in order.iter().enumerate() {
         let delta_m = items[m].y - items[m].x;
         if delta_m < 0.0 {
             neg_prefix += delta_m;
@@ -56,35 +66,28 @@ pub fn solve(items: &[Item]) -> Assignment {
         let t = all_active_time + neg_prefix + extra + items[m].z;
         if t < best_time {
             best_time = t;
-            best_m = Some(m);
+            best_pos = Some(pos);
         }
     }
 
-    let active = match best_m {
-        None => vec![true; k],
-        Some(m) => {
-            // Demote m plus every profitable request at a sorted position
-            // ≤ pos(m) — exactly the set the scan accounted for. (Equal-z
-            // requests after pos(m) are covered when they are the candidate
-            // maximum themselves.)
-            let pos_m = order.iter().position(|&i| i == m).expect("m in order");
-            let mut active = vec![true; k];
-            for (pos, &i) in order.iter().enumerate() {
-                let delta = items[i].y - items[i].x;
-                if i == m || (pos <= pos_m && delta < 0.0) {
-                    active[i] = false;
-                }
+    // Demote m plus every profitable request at a sorted position ≤ pos(m)
+    // — exactly the set the scan accounted for. (Equal-z requests after
+    // pos(m) are covered when they are the candidate maximum themselves.)
+    if let Some(pos_m) = best_pos {
+        for (pos, &i) in order.iter().enumerate().take(pos_m + 1) {
+            let delta = items[i].y - items[i].x;
+            if pos == pos_m || delta < 0.0 {
+                out.active[i] = false;
             }
-            active
         }
-    };
+    }
 
-    let time = super::assignment_time(items, &active);
+    out.time = super::assignment_time(items, &out.active);
     debug_assert!(
-        (time - best_time).abs() < 1e-9,
-        "reconstructed assignment ({time}) must match scanned optimum ({best_time})"
+        (out.time - best_time).abs() < 1e-9,
+        "reconstructed assignment ({}) must match scanned optimum ({best_time})",
+        out.time
     );
-    Assignment { active, time }
 }
 
 #[cfg(test)]

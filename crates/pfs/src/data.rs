@@ -19,14 +19,21 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct RequestId(pub u64);
 
+/// An interned kernel operation: an index into the rate table the driver
+/// was built with (`dosas::OpRates`). Interning happens once, when the
+/// driver is built; afterwards an op travels as this `Copy` id and its
+/// name is looked up only where a kernel is instantiated or printed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct OpId(pub u32);
+
 /// Whether a request asks for plain bytes or for an operation's result.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IoKind {
     /// Traditional read: ship `d_i` bytes to the client.
     Normal,
-    /// Active read: run the named processing kernel server-side and ship
+    /// Active read: run the processing kernel `op` server-side and ship
     /// only its (small) result.
-    Active { op: String },
+    Active { op: OpId },
 }
 
 impl IoKind {
@@ -48,11 +55,11 @@ pub struct QueuedRequest {
 }
 
 /// One row of a [`QueueSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotRow {
     pub id: RequestId,
-    /// Operation name for active requests, `None` for normal I/O.
-    pub op: Option<String>,
+    /// Operation for active requests, `None` for normal I/O.
+    pub op: Option<OpId>,
     /// `d_i` in bytes.
     pub bytes: f64,
 }
@@ -64,7 +71,7 @@ impl SnapshotRow {
 }
 
 /// Point-in-time view of the queue, in the paper's Table II notation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueSnapshot {
     /// `n` — number of I/O requests in the queue.
     pub n: usize,
@@ -83,6 +90,28 @@ impl QueueSnapshot {
     /// `D = D_A + D_N` — total requested bytes.
     pub fn d_total(&self) -> f64 {
         self.d_active + self.d_normal
+    }
+
+    /// Overwrite the snapshot with `rows` taken at `now`, in their order,
+    /// recomputing `n`, `k`, `D_A` and `D_N`. The row buffer keeps its
+    /// allocation, so a snapshot refilled every decision round allocates
+    /// only while it grows.
+    pub fn refill(&mut self, now: SimTime, rows: impl IntoIterator<Item = SnapshotRow>) {
+        self.requests.clear();
+        self.k = 0;
+        self.d_active = 0.0;
+        self.d_normal = 0.0;
+        for row in rows {
+            if row.is_active() {
+                self.k += 1;
+                self.d_active += row.bytes;
+            } else {
+                self.d_normal += row.bytes;
+            }
+            self.requests.push(row);
+        }
+        self.n = self.requests.len();
+        self.taken_at = now;
     }
 }
 
@@ -157,38 +186,21 @@ impl DataServer {
         self.queue.get(&id)
     }
 
-    /// Current queue in Table II notation.
+    /// Current queue in Table II notation, in ascending request id.
     pub fn snapshot(&self, now: SimTime) -> QueueSnapshot {
-        let mut d_active = 0.0;
-        let mut d_normal = 0.0;
-        let mut requests = Vec::with_capacity(self.queue.len());
-        let mut k = 0;
-        for req in self.queue.values() {
-            let op = match &req.kind {
-                IoKind::Active { op } => {
-                    d_active += req.bytes;
-                    k += 1;
-                    Some(op.clone())
-                }
-                IoKind::Normal => {
-                    d_normal += req.bytes;
-                    None
-                }
-            };
-            requests.push(SnapshotRow {
+        let mut snapshot = QueueSnapshot::default();
+        snapshot.refill(
+            now,
+            self.queue.values().map(|req| SnapshotRow {
                 id: req.id,
-                op,
+                op: match req.kind {
+                    IoKind::Active { op } => Some(op),
+                    IoKind::Normal => None,
+                },
                 bytes: req.bytes,
-            });
-        }
-        QueueSnapshot {
-            n: self.queue.len(),
-            k,
-            d_active,
-            d_normal,
-            requests,
-            taken_at: now,
-        }
+            }),
+        );
+        snapshot
     }
 
     pub fn queue_len(&self) -> usize {
@@ -235,7 +247,7 @@ mod tests {
         QueuedRequest {
             id: RequestId(id),
             kind: if active {
-                IoKind::Active { op: "sum".into() }
+                IoKind::Active { op: OpId(0) }
             } else {
                 IoKind::Normal
             },

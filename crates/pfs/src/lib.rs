@@ -31,7 +31,7 @@ pub mod store;
 
 pub use cache::{BlockCache, CacheAccess};
 pub use client::{ReadPlan, ReadTracker};
-pub use data::{DataServer, IoKind, QueueSnapshot, QueuedRequest, RequestId, SnapshotRow};
+pub use data::{DataServer, IoKind, OpId, QueueSnapshot, QueuedRequest, RequestId, SnapshotRow};
 pub use error::PfsError;
 pub use layout::{Extent, StripeLayout};
 pub use meta::{FileHandle, FileMeta, MetadataServer};

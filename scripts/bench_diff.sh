@@ -102,6 +102,16 @@ new_d = fresh["profile"]["dispatch"]
 for sub in old_d:
     counter("profile", f"{sub}.events",
             old_d[sub]["events"], new_d.get(sub, {}).get("events"))
+# Decision rounds: the round and row counts are deterministic, the
+# per-round host cost is timing.
+old_r = committed["profile"].get("decision_rounds", {})
+new_r = fresh["profile"]["decision_rounds"]
+for key in ("rounds", "rows"):
+    counter("profile", f"decision_rounds.{key}", old_r.get(key), new_r[key])
+if "round_us" in old_r:
+    ratio("profile", "decision_rounds.round_us", old_r["round_us"], new_r["round_us"])
+else:
+    print(f"  {'decision_rounds.round_us':42} {'(new)':>12} -> {new_r['round_us']:<12.6f}")
 
 if failures:
     print(f"\nbench_diff: {len(failures)} finding(s):")

@@ -197,24 +197,6 @@ fn main() {
             exit(2);
         }
     };
-    let known_ops = [
-        "sum",
-        "gaussian2d",
-        "stats",
-        "grep",
-        "histogram",
-        "kmeans1d",
-        "smooth1d",
-    ];
-    if !known_ops.contains(&args.op.as_str()) {
-        eprintln!(
-            "error: unknown op {:?}; known: {}",
-            args.op,
-            known_ops.join(", ")
-        );
-        exit(2);
-    }
-
     let workload = Workload::uniform_active(
         args.n,
         args.storage_nodes,

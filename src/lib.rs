@@ -43,9 +43,9 @@ pub use simkit;
 pub mod prelude {
     pub use cluster::{ClusterConfig, NodeId};
     pub use dosas::{
-        AutopsyReport, CostModel, CriticalPath, DosasConfig, Driver, DriverConfig, ExecMode,
-        OpRates, ProbeConfig, RequestAutopsy, RequestSpec, RunMetrics, Scheme, SolverKind,
-        TenantReport, TenantSlo, TenantSloOutcome, TenantStats, WaitCause, Workload,
+        AutopsyReport, CostModel, CriticalPath, DosasConfig, Driver, DriverConfig, ExecMode, OpId,
+        OpRates, ProbeConfig, RequestAutopsy, RequestSpec, RunMetrics, RunProfile, Scheme,
+        SolverKind, TenantReport, TenantSlo, TenantSloOutcome, TenantStats, WaitCause, Workload,
     };
     pub use kernels::{Kernel, KernelParams, KernelRegistry};
     pub use mpiio::program::{Op, RankProgram};

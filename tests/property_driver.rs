@@ -232,3 +232,22 @@ fn dosas_sim_reports_an_unbuildable_cluster_with_exit_2() {
     );
     assert!(out.stdout.is_empty(), "nothing printed before the error");
 }
+
+/// A workload naming an op the rate table lacks is a one-line
+/// configuration error with exit status 2, found before the run starts —
+/// not a panic inside it.
+#[test]
+fn dosas_sim_reports_an_unknown_op_with_exit_2() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_dosas-sim"))
+        .args(["--op", "nonsense", "--n", "2", "--size-mb", "8"])
+        .output()
+        .expect("dosas-sim runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "one line of error: {stderr}");
+    assert!(
+        stderr.starts_with("error: unknown op \"nonsense\": no rate configured (known: "),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing printed before the error");
+}
